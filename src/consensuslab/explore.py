@@ -113,9 +113,12 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     Deduplication keys on the canonical state digest; when a depth bound is
     set the key also includes the depth so pruning stays exact.  ``sink``
     collects the digests of terminal and depth-frontier configurations,
-    which lets tests cross-validate deduplication on and off.
+    which lets tests cross-validate deduplication on and off.  Process steps
+    are memoized across the search (a few hundred distinct steps recur in
+    millions of deliveries on n=5).
     """
     values = list(base.values)
+    steps: dict = {}
     depth_key = bounds.max_depth is not None
     depth0 = len(prefix)
 
@@ -142,7 +145,7 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
             continue
         entry = children.pop()
         child = cfg.clone()
-        apply_deliver(child, child.buffer[entry.send_index])
+        apply_deliver(child, child.buffer[entry.send_index], steps)
         m = entry.message
         path.append(Deliver(m.sender, m.seq, m.dest, m.kind))
         if bounds.dedupe:
@@ -168,7 +171,7 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
             path.pop()
             continue
         if stats["configs"] >= stats["budget"]:
-            stats["truncated"] = True
+            stats["truncated"] = stats["exhausted"] = True
             return None
         if bounds.max_depth is not None and depth + 1 >= bounds.max_depth:
             stats["frontier"] += 1
@@ -187,7 +190,8 @@ def _new_stats(budget: int) -> dict:
         "dedupe_hits": 0,
         "terminals": 0,
         "frontier": 0,
-        "truncated": False,
+        "truncated": False,  # some configuration was left unexpanded
+        "exhausted": False,  # the budget ran out
         "budget": budget,
     }
 
@@ -201,6 +205,7 @@ def _explore_chunk(args) -> dict:
     )
     stats = _new_stats(budget)
     seen: set = set()
+    sink: set = set()
     found = None
     for key in first_keys:
         child = cfg0.clone()
@@ -212,11 +217,11 @@ def _explore_chunk(args) -> dict:
         m = matching[0].message
         apply_deliver(child, matching[0])
         prefix = [Deliver(m.sender, m.seq, m.dest, m.kind)]
-        found = _dfs(child, base, bounds, prefix, stats, seen)
-        if found is not None or stats["truncated"]:
+        found = _dfs(child, base, bounds, prefix, stats, seen, sink)
+        if found is not None or stats["exhausted"]:
             break
     result = {"stats": {k: stats[k] for k in ("configs", "dedupe_hits", "terminals", "frontier")},
-              "truncated": stats["truncated"], "violation": None}
+              "truncated": stats["truncated"], "violation": None, "reached": sink}
     if found is not None:
         prop, events = found
         result["violation"] = (prop, [ev.to_dict() for ev in events])
@@ -235,7 +240,12 @@ def explore(
     With ``chunks > 1`` the search space is split by the first delivery and
     the chunks are explored independently (optionally by a process pool);
     the reported verdict is the one a sequential chunk-by-chunk run would
-    give, so the worker count never changes the outcome.
+    give, so the worker count never changes the outcome.  Each chunk gets
+    an equal share of ``max_configs`` and its own seen set, so a state
+    reachable from several chunks is counted once per chunk: the ``configs``
+    and ``terminals`` counts rise with ``chunks``, while the set of reached
+    states collected in ``reach_sink`` does not change unless a chunk runs
+    out of budget.
     """
     bounds.validate()
     cfg0, _ = new_configuration(
@@ -260,6 +270,9 @@ def explore(
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_explore_chunk, jobs))
     all_stats = [r["stats"] for r in results]
+    if reach_sink is not None:
+        for r in results:
+            reach_sink |= r["reached"]
     truncated = False
     for r in results:
         if r["violation"] is not None:

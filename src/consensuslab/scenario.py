@@ -81,6 +81,19 @@ class Scenario:
             raise ConfigError("field bounds.max_events: must be positive")
         if self.crash is not None:
             self.crash.validate(self.n)
+        sched = self.scheduler
+        if type(sched.fairness_bound) is not int or sched.fairness_bound < 0:
+            raise ConfigError(
+                f"field scheduler.fairness_bound: must be a non-negative integer, "
+                f"got {sched.fairness_bound!r}"
+            )
+        if sched.starve is not None and (
+            type(sched.starve) is not int or not 0 <= sched.starve < self.n
+        ):
+            raise ConfigError(
+                f"field scheduler.starve: must be a process id in [0, {self.n}), "
+                f"got {sched.starve!r}"
+            )
 
     def with_crash(self, crash: Optional[CrashSpec]) -> "Scenario":
         return replace(self, crash=crash)

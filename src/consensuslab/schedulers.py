@@ -3,11 +3,21 @@
 A scheduler picks the next event among the enabled ones.  All three are
 deterministic functions of their construction arguments, which is what
 makes traces replayable.
+
+The fairness guard forces the oldest enabled entry once any entry has
+waited more than ``fairness_bound`` picks, so every message to a live
+process is delivered eventually.  An entry waits from the first pick after
+its send (a crash only ever disables entries), which never decreases as
+the send index grows: the first entry of the send-ordered enabled list is
+overdue whenever any entry is.  So the guard keeps only the buffer's next
+send index at each of the last ``fairness_bound + 2`` picks: constant work
+per pick and memory bounded by the fairness bound, not by the buffer.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Optional
 
 from .errors import SimulatorBug
@@ -15,6 +25,15 @@ from .protocol import MsgKind
 from .simulation import Configuration, ReceiveEmpty
 
 DEFAULT_FAIRNESS_BOUND = 64
+
+
+def _overdue(marks: deque, cfg: Configuration, delivers: list) -> bool:
+    """Record this pick's send-index mark; is the oldest enabled entry overdue?
+
+    A full ``marks`` starts with the mark of the pick ``fairness_bound + 1``
+    picks ago; entries sent before it have waited longer than the bound."""
+    marks.append(cfg.next_send_index)
+    return len(marks) == marks.maxlen and delivers[0].send_index < marks[0]
 
 
 class ScriptedScheduler:
@@ -40,7 +59,7 @@ class ScriptedScheduler:
     def next(self, cfg: Configuration, delivers: list):
         if self.pos >= len(self.script):
             if self.drain_rest and delivers:
-                return min(delivers, key=lambda e: e.send_index)
+                return delivers[0]
             return None
         item = self.script[self.pos]
         self.pos += 1
@@ -77,10 +96,8 @@ class ScriptedScheduler:
 class SeededRandomScheduler:
     """Uniform random choice from a deterministic stream, with a fairness guard.
 
-    An entry left undelivered for more than ``fairness_bound`` picks is
-    forced next (oldest first), so every message to a live process is
-    delivered eventually: random runs stay admissible while remaining free
-    to reorder aggressively below the bound.
+    Random runs stay admissible while remaining free to reorder
+    aggressively below the fairness bound.
     """
 
     name = "seeded-random"
@@ -97,22 +114,13 @@ class SeededRandomScheduler:
         self.empty_probability = empty_probability
         self.empty_limit = empty_limit
         self.rng = random.Random(seed)
-        self.picks = 0
-        self.first_seen: dict = {}
+        self.marks = deque(maxlen=fairness_bound + 2)
 
     def next(self, cfg: Configuration, delivers: list):
         if not delivers:
             return None
-        self.picks += 1
-        for e in delivers:
-            self.first_seen.setdefault(e.send_index, self.picks)
-        overdue = [
-            e
-            for e in delivers
-            if self.picks - self.first_seen[e.send_index] > self.fairness_bound
-        ]
-        if overdue:
-            return min(overdue, key=lambda e: e.send_index)
+        if _overdue(self.marks, cfg, delivers):
+            return delivers[0]
         if self.empty_probability > 0.0 and self.rng.random() < self.empty_probability:
             dests = sorted(
                 {
@@ -138,25 +146,15 @@ class AdversarialLifoScheduler:
     def __init__(self, starve: Optional[int] = None, fairness_bound: int = DEFAULT_FAIRNESS_BOUND):
         self.starve = starve
         self.fairness_bound = fairness_bound
-        self.picks = 0
-        self.first_seen: dict = {}
+        self.marks = deque(maxlen=fairness_bound + 2)
 
     def next(self, cfg: Configuration, delivers: list):
         if not delivers:
             return None
-        self.picks += 1
-        for e in delivers:
-            self.first_seen.setdefault(e.send_index, self.picks)
-        overdue = [
-            e
-            for e in delivers
-            if self.picks - self.first_seen[e.send_index] > self.fairness_bound
-        ]
-        if overdue:
-            return min(overdue, key=lambda e: e.send_index)
-        preferred = [e for e in delivers if e.message.sender != self.starve]
-        pool = preferred or delivers
-        return max(pool, key=lambda e: e.send_index)
+        if _overdue(self.marks, cfg, delivers):
+            return delivers[0]
+        # The newest entry not from the starved process, else the newest.
+        return next((e for e in reversed(delivers) if e.message.sender != self.starve), delivers[-1])
 
 
 def scheduler_from_spec(spec: dict):
@@ -170,9 +168,8 @@ def scheduler_from_spec(spec: dict):
             empty_limit=int(spec.get("empty_limit", 0)),
         )
     if kind == "adversarial-lifo":
-        starve = spec.get("starve")
         return AdversarialLifoScheduler(
-            starve=None if starve is None else int(starve),
+            starve=spec.get("starve"),
             fairness_bound=int(spec.get("fairness_bound", DEFAULT_FAIRNESS_BOUND)),
         )
     if kind == "scripted":

@@ -161,6 +161,10 @@ class Configuration:
 
     processes: list
     buffer: dict = field(default_factory=dict)  # send_index -> BufferEntry
+    # The buffer entries whose destination has not crashed, in send order:
+    # derived from ``buffer`` and never hashed, it lets the run loop list
+    # the enabled deliveries without a scan.
+    enabled: dict = field(default_factory=dict)
     next_send_index: int = 0
     crashed: Optional[int] = None
     crash_pending: Optional[CrashSpec] = None
@@ -182,6 +186,7 @@ class Configuration:
         return Configuration(
             processes=list(self.processes),
             buffer=dict(self.buffer),
+            enabled=dict(self.enabled),
             next_send_index=self.next_send_index,
             crashed=self.crashed,
             crash_pending=self.crash_pending,
@@ -264,8 +269,7 @@ def new_configuration(
             and spec.point == CrashPoint.BEFORE
             and spec.kind == MsgKind.INITIAL
         ):
-            cfg.crashed = pid
-            cfg.crash_pending = None
+            _crash(cfg, pid)
             events.append(CrashBite(pid, spec.point, spec.kind))
             continue
         broadcasts = cfg.processes[pid].start()
@@ -291,42 +295,71 @@ def _materialize(cfg: Configuration, sender: int, broadcasts: list) -> list:
                 dests = [d for d in dests if d in spec.delivered_to]
         for d in dests:
             msg = Message(sender, d, b.seq, b.kind, b.payload)
-            cfg.buffer[cfg.next_send_index] = BufferEntry(msg, cfg.next_send_index)
+            entry = BufferEntry(msg, cfg.next_send_index)
+            cfg.buffer[entry.send_index] = entry
+            if d != cfg.crashed:
+                cfg.enabled[entry.send_index] = entry
             cfg.next_send_index += 1
             cfg.buf_acc = (cfg.buf_acc + _entry_digest(msg)) & _ACC_MASK
         if bite:
-            cfg.crashed = sender
-            cfg.crash_pending = None
+            _crash(cfg, sender)
             events.append(CrashBite(sender, spec.point, spec.kind))
             break  # the victim emits nothing further
     return events
 
 
+def _crash(cfg: Configuration, victim: int) -> None:
+    """Kill the victim: its inbound entries stay buffered but are disabled."""
+    cfg.crashed = victim
+    cfg.crash_pending = None
+    cfg.enabled = {i: e for i, e in cfg.enabled.items() if e.message.dest != victim}
+
+
 def enabled_deliveries(cfg: Configuration) -> list:
     """Buffer entries whose destination can still take a step, in send order."""
-    crashed = cfg.crashed
-    return [e for e in cfg.buffer.values() if e.message.dest != crashed]
+    return list(cfg.enabled.values())
 
 
-def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
-    """Deliver one entry atomically; returns any crash events it triggered."""
+def apply_deliver(cfg: Configuration, entry: BufferEntry, steps: Optional[dict] = None) -> list:
+    """Deliver one entry atomically; returns any crash events it triggered.
+
+    ``steps`` memoizes process steps across the configurations of one
+    search: it maps (the process's canonical image, the message) to the
+    stepped process and the broadcasts of each message it processed.  The
+    stepped process is shared, so the memo is used only on a configuration
+    made by ``clone`` (whose processes are copied before any mutation), and
+    not for the victim of a pending crash, whose step depends on the anchor.
+    """
     if cfg.buffer.get(entry.send_index) is not entry:
         raise SimulatorBug("delivery of an entry that is not in the buffer")
     if entry.message.dest == cfg.crashed:
         raise SimulatorBug("delivery to a crashed process")
     del cfg.buffer[entry.send_index]
+    del cfg.enabled[entry.send_index]
     cfg.buf_acc = (cfg.buf_acc - _entry_digest(entry.message)) & _ACC_MASK
     dest = entry.message.dest
     proc = cfg.processes[dest]
-    if cfg.shared:
-        proc = cfg.processes[dest] = proc.clone()
     old_key = proc.state_key() if cfg.proc_acc is not None else 0
     events = []
-    for msg in proc.ingest(entry.message):
-        broadcasts = proc.process(msg)
-        events.extend(_materialize(cfg, dest, broadcasts))
-        if cfg.crashed == dest:
-            break  # victim died mid-step; it takes no further steps
+    pending = cfg.crash_pending
+    if steps is not None and cfg.shared and (pending is None or pending.victim != dest):
+        key = (proc.canonical_bytes(), entry.message)
+        step = steps.get(key)
+        if step is None:
+            stepped = proc.clone()
+            outputs = [stepped.process(msg) for msg in stepped.ingest(entry.message)]
+            step = steps[key] = (stepped, outputs)
+        proc = cfg.processes[dest] = step[0]
+        for broadcasts in step[1]:
+            events.extend(_materialize(cfg, dest, broadcasts))
+    else:
+        if cfg.shared:
+            proc = cfg.processes[dest] = proc.clone()
+        for msg in proc.ingest(entry.message):
+            broadcasts = proc.process(msg)
+            events.extend(_materialize(cfg, dest, broadcasts))
+            if cfg.crashed == dest:
+                break  # victim died mid-step; it takes no further steps
     if cfg.proc_acc is not None:
         cfg.proc_acc = (cfg.proc_acc - old_key + proc.state_key()) & _ACC_MASK
     cfg.event_count += 1

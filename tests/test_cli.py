@@ -35,6 +35,29 @@ def test_missing_scenario_file_names_the_problem(capsys):
     assert "scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("fairness_bound", -1),
+        ("starve", "x"),
+        ("starve", 5),
+        ("starve", -1),
+        ("starve", 1.5),
+    ],
+)
+def test_run_rejects_bad_scheduler_fields(tmp_path, capsys, field, value):
+    path = tmp_path / "scenario.json"
+    scheduler = {"type": "adversarial-lifo", "seed": 0, "fairness_bound": 64, field: value}
+    path.write_text(json.dumps({"n": 5, "scheduler": scheduler}))
+    assert main(["run", str(path)]) == 1
+    assert f"scheduler.{field}" in capsys.readouterr().err
+
+
+def test_negative_fairness_bound_flag_is_rejected(clean_scenario_file, capsys):
+    assert main(["run", clean_scenario_file, "--fairness-bound", "-3"]) == 1
+    assert "fairness_bound" in capsys.readouterr().err
+
+
 def test_run_clean_scenario_exits_zero(clean_scenario_file, capsys, tmp_path):
     trace_path = tmp_path / "out.jsonl"
     code = main(["run", clean_scenario_file, "--trace", str(trace_path)])

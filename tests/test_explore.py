@@ -1,5 +1,6 @@
 """Fuzzing, exhaustive search, minimization, and the rule mutants."""
 
+import importlib
 from dataclasses import replace
 
 import pytest
@@ -106,6 +107,57 @@ class TestExplore:
         explore(scenario, bounds_off, reach_sink=reached_off)
         assert reached_on == reached_off
         assert len(reached_on) > 0
+
+    @pytest.mark.parametrize(
+        "crash, reached",
+        [
+            (None, {2: 190, 3: 1140, 4: 4940}),
+            (CrashSpec(4, CrashPoint.BEFORE, MsgKind.INITIAL), None),
+        ],
+    )
+    def test_chunked_search_reaches_the_same_states(self, crash, reached):
+        # Splitting a depth-bounded search by first delivery must expand
+        # every root of every chunk and hand back what each chunk reached.
+        scenario = base_scenario(crash=crash)
+        for depth in (2, 3, 4):
+            bounds = ExploreBounds(max_depth=depth, max_configs=1_000_000)
+            sinks = []
+            for chunks in (1, 2, 16):
+                sink: set = set()
+                verdict = explore(scenario, bounds, chunks=chunks, reach_sink=sink)
+                assert verdict.outcome == OUTCOME_BOUND
+                sinks.append(sink)
+            assert sinks[0] and sinks[0] == sinks[1] == sinks[2]
+            if reached is not None:
+                assert len(sinks[0]) == reached[depth]
+
+    def test_memoized_steps_do_not_change_the_search(self, monkeypatch):
+        # The process-step memo must be invisible: every verdict, witness,
+        # count and reached state equals that of a search that steps each
+        # delivery afresh, with and without crashes and under the mutants.
+        scenarios = [base_scenario()]
+        scenarios += [base_scenario(crash=c) for c in crash_grid(5)[1::17]]
+        scenarios += [
+            replace(base_scenario(), crash=CrashSpec(4, CrashPoint.DURING, MsgKind.FIRST,
+                                                     frozenset({0})), rules=rules)
+            for rules in MUTANTS.values()
+        ]
+
+        def search_all():
+            out = []
+            for scenario in scenarios:
+                for bounds in (ExploreBounds(max_configs=1000), ExploreBounds(max_depth=3)):
+                    sink: set = set()
+                    v = explore(scenario, bounds, reach_sink=sink)
+                    out.append((v.outcome, v.prop, v.stats, v.trace and v.trace.to_jsonl(), sink))
+            return out
+
+        memoized = search_all()
+        module = importlib.import_module("consensuslab.explore")
+        plain = module.apply_deliver
+        monkeypatch.setattr(module, "apply_deliver", lambda cfg, entry, steps=None: plain(cfg, entry))
+        assert search_all() == memoized
+        assert any(v[0] == OUTCOME_COUNTEREXAMPLE for v in memoized)
 
     def test_explore_confirms_the_mutant_is_broken(self):
         # With the adoption rule disabled, mixed decision entries cannot

@@ -4,8 +4,10 @@ adversary starves whom it is told to."""
 import pytest
 
 from consensuslab.errors import SimulatorBug
-from consensuslab.protocol import gap_indices
-from consensuslab.scenario import Scenario, SchedulerSpec, default_values
+from consensuslab.protocol import MsgKind, gap_indices
+from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
+from consensuslab.schedulers import AdversarialLifoScheduler, SeededRandomScheduler
+from consensuslab.simulation import CrashPoint, CrashSpec, ReceiveEmpty
 from consensuslab.trace import run
 
 VALUES = default_values(5)
@@ -77,3 +79,113 @@ def test_adversarial_lifo_without_victim_still_decides():
     assert len(decided) == 1
     vec = decided.pop()
     assert len(gap_indices(vec)) <= 1
+
+
+# The fairness guard as first written: remember the pick at which each
+# entry was first enabled and scan every enabled entry at every pick.  It
+# is the oracle for the send-index watermark that replaced it.
+
+
+class _ScanGuard:
+    def __init__(self, fairness_bound):
+        self.fairness_bound = fairness_bound
+        self.picks = 0
+        self.first_seen = {}
+
+    def overdue(self, delivers):
+        self.picks += 1
+        for e in delivers:
+            self.first_seen.setdefault(e.send_index, self.picks)
+        overdue = [
+            e
+            for e in delivers
+            if self.picks - self.first_seen[e.send_index] > self.fairness_bound
+        ]
+        return min(overdue, key=lambda e: e.send_index) if overdue else None
+
+
+class _ScanSeededRandom(SeededRandomScheduler):
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.scan = _ScanGuard(self.fairness_bound)
+
+    def next(self, cfg, delivers):
+        if not delivers:
+            return None
+        overdue = self.scan.overdue(delivers)
+        if overdue is not None:
+            return overdue
+        if self.empty_probability > 0.0 and self.rng.random() < self.empty_probability:
+            dests = sorted(
+                {
+                    e.message.dest
+                    for e in delivers
+                    if cfg.empties_used.get(e.message.dest, 0) < self.empty_limit
+                }
+            )
+            if dests:
+                return ReceiveEmpty(self.rng.choice(dests))
+        return delivers[self.rng.randrange(len(delivers))]
+
+
+class _ScanAdversarialLifo(AdversarialLifoScheduler):
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.scan = _ScanGuard(self.fairness_bound)
+
+    def next(self, cfg, delivers):
+        if not delivers:
+            return None
+        overdue = self.scan.overdue(delivers)
+        if overdue is not None:
+            return overdue
+        preferred = [e for e in delivers if e.message.sender != self.starve]
+        return max(preferred or delivers, key=lambda e: e.send_index)
+
+
+def _scan_oracle(spec: SchedulerSpec):
+    if spec.type == "seeded-random":
+        return _ScanSeededRandom(
+            seed=spec.seed,
+            fairness_bound=spec.fairness_bound,
+            empty_probability=spec.empty_probability,
+            empty_limit=spec.empty_limit,
+        )
+    return _ScanAdversarialLifo(starve=spec.starve, fairness_bound=spec.fairness_bound)
+
+
+def _differential_cells(n):
+    # No crash, a crash before the first broadcast (lower pids have already
+    # sent to the victim), and crashes during and after later broadcasts.
+    grid = crash_grid(n)
+    return [
+        None,
+        CrashSpec(n // 2, CrashPoint.BEFORE, MsgKind.INITIAL),
+        next(c for c in grid[1:] if c.point == CrashPoint.DURING and c.kind == MsgKind.FIRST),
+        next(c for c in grid[1:] if c.point == CrashPoint.AFTER and c.kind == MsgKind.SECOND),
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 15])
+@pytest.mark.parametrize("fairness_bound", [0, 1, 64])
+def test_watermark_guard_matches_the_scan_oracle(n, fairness_bound):
+    specs = [
+        SchedulerSpec(type="seeded-random", seed=7, fairness_bound=fairness_bound),
+        SchedulerSpec(
+            type="seeded-random",
+            seed=8,
+            fairness_bound=fairness_bound,
+            empty_probability=0.2,
+            empty_limit=3,
+        ),
+        SchedulerSpec(type="adversarial-lifo", fairness_bound=fairness_bound),
+        SchedulerSpec(type="adversarial-lifo", fairness_bound=fairness_bound, starve=1),
+    ]
+    for crash in _differential_cells(n):
+        for spec in specs:
+            scenario = Scenario(
+                n=n, values=tuple(default_values(n)), crash=crash, scheduler=spec
+            )
+            expected = run(scenario, scheduler=_scan_oracle(spec)).to_jsonl()
+            assert run(scenario).to_jsonl() == expected, (crash, spec)
+

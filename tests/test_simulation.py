@@ -1,5 +1,7 @@
 """Message-system semantics: buffer, crashes, determinism, replay."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from consensuslab.errors import ConfigError, SimulatorBug
 from consensuslab.protocol import MsgKind
 from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
+from consensuslab.schedulers import SeededRandomScheduler
 from consensuslab.simulation import (
     CrashSpec,
     CrashPoint,
@@ -50,6 +53,57 @@ class TestBuffer:
         assert cfg.crashed == 4
         assert all(e.message.dest != 4 for e in enabled_deliveries(cfg))
         assert len(cfg.buffer) == 4 * 4  # nothing from the victim either
+
+    @pytest.mark.parametrize("n", [5, 15])
+    def test_enabled_index_tracks_the_buffer(self, n):
+        # The enabled-entry index must equal a scan of the buffer after every
+        # step, after every crash (including a crash before the victim's
+        # first broadcast, when lower pids have already sent to it), and in
+        # every clone, which must not share it with its parent.
+        def scan(cfg):
+            return [e for e in cfg.buffer.values() if e.message.dest != cfg.crashed]
+
+        values = default_values(n)
+        grid = crash_grid(n)
+        cells = [None, CrashSpec(n // 2, CrashPoint.BEFORE, MsgKind.INITIAL)]
+        cells += [c for c in grid[1:] if c.victim == 1 and c.kind != MsgKind.INITIAL][::3]
+        for seed, crash in enumerate(cells):
+            cfg, _ = new_configuration(n, values, crash=crash)
+            scheduler = SeededRandomScheduler(seed=seed, fairness_bound=8)
+            assert enabled_deliveries(cfg) == scan(cfg)
+            while delivers := enabled_deliveries(cfg):
+                twin = cfg.clone()
+                assert enabled_deliveries(twin) == delivers
+                apply_deliver(cfg, scheduler.next(cfg, delivers))
+                assert enabled_deliveries(cfg) == scan(cfg)
+                assert enabled_deliveries(twin) == delivers == scan(twin)
+            assert crash is None or cfg.crashed == crash.victim
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_memoized_steps_match_plain_steps(self, n):
+        # A step taken through the step memo must leave the same configuration
+        # as a plain step: same image, dedupe digest, enabled entries and
+        # crash events.  One memo serves every run, so later runs mostly hit
+        # it, and a memoized process mutated after it was stored would show
+        # up as a mismatch.
+        values = default_values(n)
+        cells = [None, CrashSpec(n // 2, CrashPoint.BEFORE, MsgKind.INITIAL)]
+        cells += [c for c in crash_grid(n)[1:] if c.victim == 1][::2]
+        steps: dict = {}
+        for seed, crash in enumerate(cells):
+            plain, _ = new_configuration(n, values, crash=crash)
+            memo = plain.clone()
+            rng = random.Random(seed)
+            while delivers := enabled_deliveries(plain):
+                index = delivers[rng.randrange(len(delivers))].send_index
+                plain, memo = plain.clone(), memo.clone()
+                bites = apply_deliver(plain, plain.buffer[index])
+                assert apply_deliver(memo, memo.buffer[index], steps) == bites
+                assert memo.canonical_bytes() == plain.canonical_bytes()
+                assert memo.dedupe_digest() == plain.dedupe_digest()
+                assert enabled_deliveries(memo) == enabled_deliveries(plain)
+            assert crash is None or memo.crashed == crash.victim
+        assert steps
 
 
 class TestCrashPoints:
