@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from .errors import ConfigError, ConsensusLabError
@@ -21,7 +22,7 @@ from .properties import (
     safety_violation,
     terminal_violation,
 )
-from .protocol import Rules, decode_vector, encode_vector
+from .protocol import MsgKind, Rules
 from .scenario import Scenario, SchedulerSpec, bit_values, crash_grid
 from .schedulers import ScriptedScheduler
 from .simulation import Deliver, apply_deliver, enabled_deliveries, new_configuration
@@ -103,62 +104,135 @@ def _witness(base: Scenario, events: list, prop: str) -> Trace:
 # Exhaustive interleaving search
 # ---------------------------------------------------------------------------
 
+# Sleep sets are bitmasks over message keys (sender, seq, dest).  A process
+# broadcasts each message kind at most once, so seq < len(MsgKind) and the
+# masks below cover every key.
 
-def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict, seen: set,
-         sink: Optional[set] = None):
+
+def _key_bit(m, n: int) -> int:
+    """The sleep-set bit of the message key (sender, seq, dest)."""
+    return 1 << ((m.seq * n + m.sender) * n + m.dest)
+
+
+def _independent(n: int, dedupe: bool) -> list:
+    """Per destination d, the mask keeping the keys whose destination is not d.
+
+    Without deduplication every mask is empty, so every sleep set is too and
+    the search is the plain tree of all interleavings.
+    """
+    if not dedupe:
+        return [0] * n
+    same = [0] * n
+    for seq in range(len(MsgKind)):
+        for sender in range(n):
+            for dest in range(n):
+                same[dest] |= 1 << ((seq * n + sender) * n + dest)
+    return [~mask for mask in same]
+
+
+def _events(messages: list) -> list:
+    return [Deliver(m.sender, m.seq, m.dest, m.kind) for m in messages]
+
+
+def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict, seen: dict,
+         sink: Optional[set] = None, sleep: int = 0):
     """Depth-first search over all delivery interleavings from ``cfg0``.
 
-    Returns (property, witness_events) or None.  Children are expanded
+    ``prefix`` lists the messages delivered to reach ``cfg0``.  Returns
+    (property, witness_events) or None.  Children are expanded
     newest-delivery-first, which reaches adversarial reorderings early.
     Deduplication keys on the canonical state digest; when a depth bound is
     set the key also includes the depth so pruning stays exact.  ``sink``
     collects the digests of terminal and depth-frontier configurations,
-    which lets tests cross-validate deduplication on and off.  Process steps
-    are memoized across the search (a few hundred distinct steps recur in
+    which lets tests cross-validate the reductions.  Process steps are
+    memoized across the search (a few hundred distinct steps recur in
     millions of deliveries on n=5).
+
+    Sleep sets with state caching (Godefroid 1996) skip deliveries whose
+    configuration an earlier branch has already reached.  Two deliveries
+    are dependent iff they share a destination: a delivery changes only its
+    destination's process and appends to the buffer, and a crash disables
+    only the victim's inbound messages.  A child's sleep set is its
+    parent's sleep set plus the deliveries already tried from the parent,
+    less those to the child's own destination; ``sleep`` is the sleep set
+    of ``cfg0``.  ``seen`` maps each stored digest to the sleep set its
+    configuration was expanded with (empty for terminal and frontier
+    configurations).  When a stored configuration is reached again with a
+    sleep set S that lacks part of its stored set T, the deliveries in
+    T - S are expanded from it after all and T & S is stored.  The set of
+    stored configurations, the order in which they are first reached, and
+    so every verdict, witness and count except ``dedupe_hits``, equal those
+    of the unreduced search.  ``dedupe_hits`` counts every delivery that
+    reaches a stored configuration, re-expanded ones included, so
+    ``configs + dedupe_hits`` is the number of deliveries made.
+
+    The safety check runs on a new configuration only if the delivery
+    replaced its destination's decision or decision-stage entry: the
+    parent passed it, and nothing else it reads can change.
     """
     values = list(base.values)
+    n = base.n
     steps: dict = {}
-    depth_key = bounds.max_depth is not None
+    sleeps: dict = {}  # interned sleep sets, so equal ones share one int
+    independent = _independent(n, bounds.dedupe)
+    max_depth = bounds.max_depth
     depth0 = len(prefix)
 
     def digest(cfg, depth):
         d = cfg.dedupe_digest()
-        return (d, depth) if depth_key else d
+        return d if max_depth is None else (d, depth)
 
     v = safety_violation(cfg0, values)
     if v is not None:
-        return v[0], list(prefix)
+        return v[0], _events(prefix)
     stats["configs"] += 1
     if bounds.dedupe:
-        seen.add(digest(cfg0, depth0))
-    # enabled_deliveries lists entries in send order; popping from the end
-    # expands the newest delivery first.
-    stack = [(cfg0, enabled_deliveries(cfg0), depth0)]
+        seen[digest(cfg0, depth0)] = sleep
+    # A frame is [configuration, children left, depth, sleep set plus the
+    # children tried so far].  enabled_deliveries lists entries in send
+    # order; popping from the end expands the newest delivery first.
+    stack = [[cfg0, enabled_deliveries(cfg0), depth0, sleep]]
     path = list(prefix)
     while stack:
-        cfg, children, depth = stack[-1]
+        frame = stack[-1]
+        cfg, children, depth, tried = frame
         if not children:
             stack.pop()
-            if path and len(path) > len(prefix):
+            if len(path) > depth0:
                 path.pop()
             continue
         entry = children.pop()
+        m = entry.message
+        bit = _key_bit(m, n)
+        if tried & bit:
+            continue  # asleep
+        frame[3] = tried | bit
+        child_sleep = tried & independent[m.dest]
         child = cfg.clone()
         apply_deliver(child, child.buffer[entry.send_index], steps)
-        m = entry.message
-        path.append(Deliver(m.sender, m.seq, m.dest, m.kind))
+        frontier = max_depth is not None and depth + 1 >= max_depth
         if bounds.dedupe:
             key = digest(child, depth + 1)
-            if key in seen:
+            stored = seen.get(key)
+            if stored is not None:
                 stats["dedupe_hits"] += 1
-                path.pop()
+                redo = stored & ~child_sleep
+                if redo:
+                    stats["reexpanded"] += 1
+                    kept = stored & child_sleep
+                    seen[key] = sleeps.setdefault(kept, kept)
+                    again = [e for e in enabled_deliveries(child) if _key_bit(e.message, n) & redo]
+                    path.append(m)
+                    stack.append([child, again, depth + 1, child_sleep])
                 continue
-            seen.add(key)
+            seen[key] = 0 if frontier else sleeps.setdefault(child_sleep, child_sleep)
         stats["configs"] += 1
-        v = safety_violation(child, values)
-        if v is not None:
-            return v[0], list(path)
+        path.append(m)
+        before, after = cfg.processes[m.dest], child.processes[m.dest]
+        if after.decided is not before.decided or after.decision_entry is not before.decision_entry:
+            v = safety_violation(child, values)
+            if v is not None:
+                return v[0], _events(path)
         nxt = enabled_deliveries(child)
         if not nxt:
             stats["terminals"] += 1
@@ -167,20 +241,20 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
             status = STATUS_COMPLETE if child.all_alive_decided() else STATUS_STUCK
             v = terminal_violation(child, values, status)
             if v is not None:
-                return v[0], list(path)
+                return v[0], _events(path)
             path.pop()
             continue
         if stats["configs"] >= stats["budget"]:
             stats["truncated"] = stats["exhausted"] = True
             return None
-        if bounds.max_depth is not None and depth + 1 >= bounds.max_depth:
+        if frontier:
             stats["frontier"] += 1
             stats["truncated"] = True
             if sink is not None:
                 sink.add(child.dedupe_digest())
             path.pop()
             continue
-        stack.append((child, nxt, depth + 1))
+        stack.append([child, nxt, depth + 1, child_sleep])
     return None
 
 
@@ -190,6 +264,7 @@ def _new_stats(budget: int) -> dict:
         "dedupe_hits": 0,
         "terminals": 0,
         "frontier": 0,
+        "reexpanded": 0,  # revisits that expanded deliveries the first visit slept
         "truncated": False,  # some configuration was left unexpanded
         "exhausted": False,  # the budget ran out
         "budget": budget,
@@ -203,29 +278,26 @@ def _explore_chunk(args) -> dict:
         base.n, list(base.values), crash=base.crash, rules=base.rules,
         final_quorum=base.final_quorum,
     )
+    independent = _independent(base.n, bounds.dedupe)
     stats = _new_stats(budget)
-    seen: set = set()
+    seen: dict = {}
     sink: set = set()
     found = None
+    tried = 0  # the roots this chunk has searched, as sleep-set bits
     for key in first_keys:
         child = cfg0.clone()
-        matching = [
-            e
-            for e in enabled_deliveries(child)
+        entry = next(
+            e for e in enabled_deliveries(child)
             if (e.message.sender, e.message.seq, e.message.dest) == tuple(key)
-        ]
-        m = matching[0].message
-        apply_deliver(child, matching[0])
-        prefix = [Deliver(m.sender, m.seq, m.dest, m.kind)]
-        found = _dfs(child, base, bounds, prefix, stats, seen, sink)
+        )
+        m = entry.message
+        apply_deliver(child, entry)
+        found = _dfs(child, base, bounds, [m], stats, seen, sink, tried & independent[m.dest])
         if found is not None or stats["exhausted"]:
             break
-    result = {"stats": {k: stats[k] for k in ("configs", "dedupe_hits", "terminals", "frontier")},
-              "truncated": stats["truncated"], "violation": None, "reached": sink}
-    if found is not None:
-        prop, events = found
-        result["violation"] = (prop, [ev.to_dict() for ev in events])
-    return result
+        tried |= _key_bit(m, base.n)
+    return {"stats": {k: stats[k] for k in ("configs", "dedupe_hits", "terminals", "frontier")},
+            "truncated": stats["truncated"], "violation": found, "reached": sink}
 
 
 def explore(
@@ -246,6 +318,17 @@ def explore(
     and ``terminals`` counts rise with ``chunks``, while the set of reached
     states collected in ``reach_sink`` does not change unless a chunk runs
     out of budget.
+
+    Sleep sets skip deliveries that would reach an already stored
+    configuration.  Two deliveries are dependent iff they share a
+    destination; a stored configuration reached again with a sleep set
+    lacking part of the one it was stored with expands that part after all.
+    The stored configurations, and so every verdict, witness and count but
+    one, are those of the unreduced search: ``stats["dedupe_hits"]`` counts
+    the deliveries that reached a stored configuration (re-expanded ones
+    included), so ``configs + dedupe_hits`` is the number of deliveries
+    made.  With ``dedupe`` off there is no state cache and no sleep set:
+    every interleaving is searched.
     """
     bounds.validate()
     cfg0, _ = new_configuration(
@@ -257,7 +340,7 @@ def explore(
 
     if chunks <= 1:
         stats = _new_stats(bounds.max_configs)
-        found = _dfs(cfg0, scenario, bounds, [], stats, set(), sink=reach_sink)
+        found = _dfs(cfg0, scenario, bounds, [], stats, {}, sink=reach_sink)
         return _verdict_from(scenario, found, [stats], stats["truncated"])
 
     groups = [root_keys[i::chunks] for i in range(chunks)]
@@ -276,11 +359,7 @@ def explore(
     truncated = False
     for r in results:
         if r["violation"] is not None:
-            prop, event_dicts = r["violation"]
-            from .simulation import event_from_dict
-
-            events = [event_from_dict(d) for d in event_dicts]
-            return _verdict_from(scenario, (prop, events), all_stats, False)
+            return _verdict_from(scenario, r["violation"], all_stats, False)
         truncated = truncated or r["truncated"]
     return _verdict_from(scenario, None, all_stats, truncated)
 
@@ -349,6 +428,20 @@ def _fuzz_one(base: Scenario, cells: list, seed: int, values_mode: str):
     return scenario, report, decided
 
 
+def _fuzz_outcomes(base: Scenario, cells: list, seed_count: int, values_mode: str, workers: int):
+    """Yield ``_fuzz_one``'s result for seeds 0..seed_count-1 in seed order,
+    computed here or, with ``workers > 1``, by a process pool."""
+    run_seed = partial(_fuzz_one, base, cells, values_mode=values_mode)
+    if workers <= 1:
+        yield from map(run_seed, range(seed_count))
+        return
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(run_seed, range(seed_count), chunksize=64)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def fuzz(
     base: Scenario,
     seed_count: int,
@@ -391,28 +484,14 @@ def fuzz(
             return seed, report.failures()[0], scenario
         return None
 
-    if workers <= 1:
-        for seed in range(seed_count):
-            scenario, report, decided = _fuzz_one(base, cells, seed, values_mode)
-            failure = account(seed, scenario, report, decided)
-            if failure is not None and first_failure is None:
-                first_failure = failure
-                if stop_on_first:
-                    break
-    else:
-        jobs = [(base.to_dict(), seed, values_mode, exhaustive_subsets) for seed in range(seed_count)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for seed, (scenario_dict, report_dict, decided_hex) in enumerate(
-                pool.map(_fuzz_worker, jobs, chunksize=64)
-            ):
-                scenario = Scenario.from_dict(scenario_dict)
-                report = _report_from_flags(report_dict)
-                decided = tuple(
-                    None if h is None else decode_vector(bytes.fromhex(h)) for h in decided_hex
-                )
-                failure = account(seed, scenario, report, decided)
-                if failure is not None and first_failure is None:
-                    first_failure = failure
+    outcomes = _fuzz_outcomes(base, cells, seed_count, values_mode, workers)
+    for seed, (scenario, report, decided) in enumerate(outcomes):
+        failure = account(seed, scenario, report, decided)
+        if failure is not None and first_failure is None:
+            first_failure = failure
+            if stop_on_first:
+                outcomes.close()  # cancels the seeds a pool has not started
+                break
 
     if first_failure is None:
         return FuzzVerdict(outcome=OUTCOME_ALL_PASS, stats=stats)
@@ -427,30 +506,6 @@ def fuzz(
         trace=trace,
         failing_seed=seed,
         stats=stats,
-    )
-
-
-def _fuzz_worker(args):
-    base_dict, seed, values_mode, exhaustive_subsets = args
-    base = Scenario.from_dict(base_dict)
-    cells = crash_grid(base.n, exhaustive_subsets)
-    scenario, report, decided = _fuzz_one(base, cells, seed, values_mode)
-    flags = {name: report.check(name).ok for name in PROPERTY_NAMES}
-    flags["decided_count"] = report.decided_count
-    decided_hex = [None if v is None else encode_vector(v).hex() for v in decided]
-    return scenario.to_dict(), flags, decided_hex
-
-
-def _report_from_flags(flags: dict):
-    from .properties import Check, PropertyReport
-
-    return PropertyReport(
-        agreement=Check(flags["agreement"]),
-        validity=Check(flags["validity"]),
-        termination=Check(flags["termination"]),
-        same_gap_index=Check(flags["same_gap_index"]),
-        full_entrants=Check(flags["full_entrants"]),
-        decided_count=flags["decided_count"],
     )
 
 

@@ -141,19 +141,22 @@ def encode_vector(vec: Optional[Vector]) -> bytes:
 def decode_vector(data: bytes) -> Optional[Vector]:
     if data[:1] == b"\xff":
         return None
-    n = data[0]
-    slots = []
-    i = 1
-    for _ in range(n):
-        tag = data[i]
-        i += 1
-        if tag == 0:
-            slots.append(None)
-        else:
-            (length,) = struct.unpack(">I", data[i : i + 4])
-            i += 4
-            slots.append(data[i : i + length])
-            i += length
+    try:
+        n = data[0]
+        slots = []
+        i = 1
+        for _ in range(n):
+            tag = data[i]
+            i += 1
+            if tag == 0:
+                slots.append(None)
+            else:
+                (length,) = struct.unpack(">I", data[i : i + 4])
+                i += 4
+                slots.append(data[i : i + length])
+                i += length
+    except (IndexError, struct.error) as exc:
+        raise MalformedMessage("truncated vector encoding") from exc
     if i != len(data):
         raise MalformedMessage("trailing bytes in vector encoding")
     return tuple(slots)

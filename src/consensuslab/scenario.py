@@ -24,6 +24,7 @@ from .protocol import MIN_PROCESSES, MsgKind, Rules
 from .simulation import CrashSpec, CrashPoint
 
 DEFAULT_MAX_EVENTS = 10_000
+MAX_PROCESSES = 255  # encode_vector stores a vector's width in one byte
 
 
 def default_values(n: int) -> list:
@@ -34,6 +35,11 @@ def default_values(n: int) -> list:
 def bit_values(n: int, pattern: int) -> list:
     """Single-bit values taken from the low n bits of ``pattern``."""
     return [bytes([(pattern >> i) & 1]) for i in range(n)]
+
+
+def _check_n(n: int) -> None:
+    if not MIN_PROCESSES <= n <= MAX_PROCESSES:
+        raise ConfigError(f"field n: must be in [{MIN_PROCESSES}, {MAX_PROCESSES}], got {n}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,7 @@ class Scenario:
     final_quorum: Optional[int] = None
 
     def validate(self) -> None:
-        if self.n < MIN_PROCESSES:
-            raise ConfigError(f"field n: need at least {MIN_PROCESSES}, got {self.n}")
+        _check_n(self.n)
         if len(self.values) != self.n:
             raise ConfigError(
                 f"field initial_values: expected {self.n} entries, got {len(self.values)}"
@@ -81,6 +86,11 @@ class Scenario:
             raise ConfigError("field bounds.max_events: must be positive")
         if self.crash is not None:
             self.crash.validate(self.n)
+        fq = self.final_quorum
+        if fq is not None and (type(fq) is not int or not 1 <= fq <= self.n - 1):
+            raise ConfigError(
+                f"field final_quorum: must be null or an integer in [1, {self.n - 1}], got {fq!r}"
+            )
         sched = self.scheduler
         if type(sched.fairness_bound) is not int or sched.fairness_bound < 0:
             raise ConfigError(
@@ -116,6 +126,7 @@ class Scenario:
     def from_dict(cls, d: dict) -> "Scenario":
         try:
             n = int(d["n"])
+            _check_n(n)
             raw_values = d.get("initial_values")
             values = (
                 tuple(default_values(n))

@@ -171,8 +171,11 @@ class Configuration:
     event_count: int = 0
     empties_used: dict = field(default_factory=dict)
     shared: bool = False  # processes are shared with another configuration
-    buf_acc: int = 0  # order-independent multiset digest of the buffer
-    proc_acc: Optional[int] = None  # lazy sum of per-process state digests
+    # Lazy digests for dedupe_digest, kept up to date once it has run: an
+    # order-independent multiset digest of the buffer and the sum of the
+    # per-process state digests.  A plain run never computes them.
+    buf_acc: Optional[int] = None
+    proc_acc: Optional[int] = None
 
     @property
     def n(self) -> int:
@@ -227,12 +230,15 @@ class Configuration:
         """128-bit digest used for state-space deduplication.
 
         Equivalent configurations collapse: both the buffer and the process
-        states enter through order-independent accumulators maintained
-        incrementally, so expanding one delivery re-hashes only the one
-        process it touched.
+        states enter through order-independent accumulators, computed on the
+        first call and maintained incrementally after it (clones inherit
+        them), so expanding one delivery re-hashes only the one process it
+        touched.
         """
         if self.proc_acc is None:
             self.proc_acc = sum(p.state_key() for p in self.processes) & _ACC_MASK
+        if self.buf_acc is None:
+            self.buf_acc = sum(_entry_digest(e.message) for e in self.buffer.values()) & _ACC_MASK
         tail = (
             (0 if self.crashed is None else self.crashed + 1)
             | ((0 if self.crash_pending is None else 1) << 8)
@@ -300,7 +306,8 @@ def _materialize(cfg: Configuration, sender: int, broadcasts: list) -> list:
             if d != cfg.crashed:
                 cfg.enabled[entry.send_index] = entry
             cfg.next_send_index += 1
-            cfg.buf_acc = (cfg.buf_acc + _entry_digest(msg)) & _ACC_MASK
+            if cfg.buf_acc is not None:
+                cfg.buf_acc = (cfg.buf_acc + _entry_digest(msg)) & _ACC_MASK
         if bite:
             _crash(cfg, sender)
             events.append(CrashBite(sender, spec.point, spec.kind))
@@ -336,7 +343,8 @@ def apply_deliver(cfg: Configuration, entry: BufferEntry, steps: Optional[dict] 
         raise SimulatorBug("delivery to a crashed process")
     del cfg.buffer[entry.send_index]
     del cfg.enabled[entry.send_index]
-    cfg.buf_acc = (cfg.buf_acc - _entry_digest(entry.message)) & _ACC_MASK
+    if cfg.buf_acc is not None:
+        cfg.buf_acc = (cfg.buf_acc - _entry_digest(entry.message)) & _ACC_MASK
     dest = entry.message.dest
     proc = cfg.processes[dest]
     old_key = proc.state_key() if cfg.proc_acc is not None else 0

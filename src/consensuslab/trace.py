@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, SimulatorBug
+from .errors import ConfigError, MalformedMessage, SimulatorBug
 from .protocol import decode_vector, encode_vector
 from .scenario import Scenario, SchedulerSpec
 from .schedulers import ScriptedScheduler, scheduler_from_spec
@@ -118,14 +118,23 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        try:
+            records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"trace line is not valid JSON: {exc}") from exc
+        if not all(isinstance(r, dict) for r in records):
+            raise ConfigError("every trace record must be a JSON object")
         if not records or records[0].get("type") != "header":
             raise ConfigError("trace must start with a header record")
         if records[-1].get("type") != "verdict":
             raise ConfigError("trace must end with a verdict record")
         scenario = Scenario.from_dict(records[0])
-        events = [event_from_dict(d) for d in records[1:-1]]
-        return cls(scenario=scenario, events=events, verdict=Verdict.from_dict(records[-1]))
+        try:
+            events = [event_from_dict(d) for d in records[1:-1]]
+            verdict = Verdict.from_dict(records[-1])
+        except (KeyError, ValueError, TypeError, MalformedMessage) as exc:
+            raise ConfigError(f"bad trace record: {exc!r}") from exc
+        return cls(scenario=scenario, events=events, verdict=verdict)
 
     @classmethod
     def load(cls, path) -> "Trace":

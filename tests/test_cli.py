@@ -140,3 +140,53 @@ def test_explore_small_budget_exits_three(clean_scenario_file):
 def test_commute_exits_zero(capsys):
     assert main(["commute", "--n", "5", "--tie-rule", "1"]) == 0
     assert "192 instances" in capsys.readouterr().out
+
+
+def _seeded_trace_records():
+    trace = run(
+        Scenario(
+            n=5,
+            values=tuple(default_values(5)),
+            scheduler=SchedulerSpec(type="seeded-random", seed=2),
+        )
+    )
+    return trace.to_jsonl().splitlines()
+
+
+def _no_config_hash(lines):
+    verdict = json.loads(lines[-1])
+    del verdict["config_hash"]
+    return lines[:-1] + [json.dumps(verdict)]
+
+
+def _truncated_decision(lines):
+    verdict = json.loads(lines[-1])
+    verdict["decided"][0] = "0501"
+    return lines[:-1] + [json.dumps(verdict)]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:1] + ["{not json"] + lines[1:], "not valid JSON"),
+        (_no_config_hash, "config_hash"),
+        (_truncated_decision, "truncated vector"),
+    ],
+    ids=["non-json-line", "no-config-hash", "truncated-vector"],
+)
+def test_replay_rejects_malformed_traces(tmp_path, capsys, edit, message):
+    path = tmp_path / "broken.jsonl"
+    path.write_text("\n".join(edit(_seeded_trace_records())) + "\n")
+    assert main(["replay", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("final_quorum", 0), ("final_quorum", 5), ("final_quorum", "x"), ("n", 256)],
+)
+def test_run_rejects_bad_final_quorum_and_n(tmp_path, capsys, field, value):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n": 5, field: value}))
+    assert main(["run", str(path)]) == 1
+    assert f"field {field}" in capsys.readouterr().err

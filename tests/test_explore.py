@@ -1,6 +1,7 @@
 """Fuzzing, exhaustive search, minimization, and the rule mutants."""
 
 import importlib
+import sys
 from dataclasses import replace
 
 import pytest
@@ -12,16 +13,29 @@ from consensuslab.explore import (
     OUTCOME_BOUND,
     OUTCOME_COUNTEREXAMPLE,
     ExploreBounds,
+    _fuzz_outcomes,
     explore,
     fuzz,
     minimize,
 )
 from consensuslab.findings import racing_scenario
-from consensuslab.properties import check_properties
+from consensuslab.properties import (
+    PROPERTY_NAMES,
+    check_properties,
+    safety_violation,
+    terminal_violation,
+)
 from consensuslab.protocol import MsgKind
 from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
-from consensuslab.simulation import CrashPoint, CrashSpec
-from consensuslab.trace import replays_identically, run
+from consensuslab.simulation import (
+    CrashPoint,
+    CrashSpec,
+    Deliver,
+    apply_deliver,
+    enabled_deliveries,
+    new_configuration,
+)
+from consensuslab.trace import STATUS_COMPLETE, STATUS_STUCK, replays_identically, run
 
 VALUES = default_values(5)
 
@@ -33,6 +47,72 @@ def base_scenario(**kw):
         scheduler=SchedulerSpec(type="seeded-random", seed=0, fairness_bound=64),
         **kw,
     )
+
+
+def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, sink=None, sleep=0):
+    """The plain search, as an oracle for ``explore._dfs``: every enabled
+    delivery is made, every new configuration is safety-checked, and
+    ``seen`` is used as a set (the sleep set is ignored)."""
+    values = list(base.values)
+
+    def key(cfg, depth):
+        return cfg.dedupe_digest() if bounds.max_depth is None else (cfg.dedupe_digest(), depth)
+
+    def events(messages):
+        return [Deliver(m.sender, m.seq, m.dest, m.kind) for m in messages]
+
+    v = safety_violation(cfg0, values)
+    if v is not None:
+        return v[0], events(prefix)
+    stats["configs"] += 1
+    if bounds.dedupe:
+        seen[key(cfg0, len(prefix))] = None
+    stack = [(cfg0, enabled_deliveries(cfg0), len(prefix))]
+    path = list(prefix)
+    while stack:
+        cfg, children, depth = stack[-1]
+        if not children:
+            stack.pop()
+            if len(path) > len(prefix):
+                path.pop()
+            continue
+        entry = children.pop()
+        child = cfg.clone()
+        apply_deliver(child, child.buffer[entry.send_index])
+        if bounds.dedupe:
+            k = key(child, depth + 1)
+            if k in seen:
+                stats["dedupe_hits"] += 1
+                continue
+            seen[k] = None
+        stats["configs"] += 1
+        path.append(entry.message)
+        v = safety_violation(child, values)
+        if v is not None:
+            return v[0], events(path)
+        nxt = enabled_deliveries(child)
+        if not nxt:
+            stats["terminals"] += 1
+            if sink is not None:
+                sink.add(child.dedupe_digest())
+            status = STATUS_COMPLETE if child.all_alive_decided() else STATUS_STUCK
+            v = terminal_violation(child, values, status)
+            if v is not None:
+                return v[0], events(path)
+            path.pop()
+            continue
+        if stats["configs"] >= stats["budget"]:
+            stats["truncated"] = stats["exhausted"] = True
+            return None
+        if bounds.max_depth is not None and depth + 1 >= bounds.max_depth:
+            stats["frontier"] += 1
+            stats["truncated"] = True
+            if sink is not None:
+                sink.add(child.dedupe_digest())
+            path.pop()
+            continue
+        stack.append((child, nxt, depth + 1))
+    return None
 
 
 class TestCrashGrid:
@@ -70,6 +150,19 @@ class TestFuzz:
         assert seq.outcome == par.outcome
         assert seq.stats == par.stats
         assert seq.failing_seed == par.failing_seed
+        # A pool stops at the first failing seed in seed order, like the
+        # sequential loop, and its per-seed reports keep every check detail.
+        mutant = replace(base_scenario(), rules=MUTANTS["adopt-full"])
+        seq = fuzz(mutant, 500, stop_on_first=True)
+        par = fuzz(mutant, 500, stop_on_first=True, workers=2)
+        assert seq.failing_seed == par.failing_seed == 2
+        assert seq.stats == par.stats and seq.stats["runs"] == 3
+        assert seq.trace.to_jsonl() == par.trace.to_jsonl()
+        cells = crash_grid(5)
+        seq_runs = list(_fuzz_outcomes(mutant, cells, 40, "bits", workers=1))
+        assert list(_fuzz_outcomes(mutant, cells, 40, "bits", workers=2)) == seq_runs
+        details = [report.check(name).detail for _, report, _ in seq_runs for name in PROPERTY_NAMES]
+        assert any(details)
 
     def test_collected_outcomes_feed_downstream_checks(self):
         collected = []
@@ -158,6 +251,76 @@ class TestExplore:
         monkeypatch.setattr(module, "apply_deliver", lambda cfg, entry, steps=None: plain(cfg, entry))
         assert search_all() == memoized
         assert any(v[0] == OUTCOME_COUNTEREXAMPLE for v in memoized)
+
+    def test_sleep_sets_match_the_unreduced_search(self, monkeypatch):
+        # The soundness gate of the sleep sets: with and without crashes,
+        # under the four mutants, chunked or not, the reduced search stores
+        # the same configurations in the same order as the plain search, so
+        # verdicts, witnesses, counts and reached states are identical; only
+        # deliveries that reach a stored configuration are saved.
+        mid = CrashSpec(4, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
+        scenarios = [
+            base_scenario(),
+            base_scenario(crash=CrashSpec(4, CrashPoint.BEFORE, MsgKind.INITIAL)),
+            base_scenario(crash=CrashSpec(2, CrashPoint.DURING, MsgKind.FIRST, frozenset({0, 1}))),
+        ]
+        scenarios += [replace(base_scenario(), crash=mid, rules=rules) for rules in MUTANTS.values()]
+        bounds_list = [
+            ExploreBounds(max_depth=3, max_configs=3000),
+            ExploreBounds(max_depth=4, max_configs=3000),
+            ExploreBounds(max_configs=3000),
+        ]
+        module = importlib.import_module("consensuslab.explore")
+        created = []
+        new_stats = module._new_stats
+        monkeypatch.setattr(
+            module, "_new_stats", lambda budget: created.append(new_stats(budget)) or created[-1]
+        )
+
+        def search_all():
+            out = []
+            for scenario in scenarios:
+                for bounds in bounds_list:
+                    for chunks in (1, 4):
+                        sink: set = set()
+                        v = explore(scenario, bounds, chunks=chunks, reach_sink=sink)
+                        stats = dict(v.stats)
+                        hits = stats.pop("dedupe_hits")
+                        out.append(((v.outcome, v.prop, stats, v.trace and v.trace.to_jsonl(), sink),
+                                    hits))
+            return out
+
+        reduced = search_all()
+        reexpanded = sum(s["reexpanded"] for s in created)
+        monkeypatch.setattr(module, "_dfs", unreduced_dfs)
+        plain = search_all()
+        assert [r[0] for r in reduced] == [p[0] for p in plain]
+        assert all(r[1] < p[1] or p[1] == 0 for r, p in zip(reduced, plain))
+        assert sum(r[1] for r in reduced) < sum(p[1] for p in plain)
+        assert reexpanded > 0
+        assert any(p[0][0] == OUTCOME_COUNTEREXAMPLE for p in plain)
+
+    @pytest.mark.parametrize("field", ["decided", "decision_entry"])
+    def test_incremental_safety_check_sees_both_fields(self, monkeypatch, field):
+        # The safety check is skipped unless a delivery replaced the
+        # destination's decision or decision-stage entry.  A stand-in check
+        # that fires on either field alone must stop the reduced search at
+        # the same configuration as the plain search, which checks every one.
+        def first_set(cfg, values):
+            who = [i for i, p in enumerate(cfg.processes) if getattr(p, field) is not None]
+            return (field, f"P{who[0]}") if who else None
+
+        module = importlib.import_module("consensuslab.explore")
+        monkeypatch.setattr(module, "safety_violation", first_set)
+        monkeypatch.setattr(sys.modules[__name__], "safety_violation", first_set)
+        scenario = base_scenario(crash=CrashSpec(2, CrashPoint.DURING, MsgKind.FIRST,
+                                                 frozenset({0, 1})))
+        found = []
+        for dfs in (module._dfs, unreduced_dfs):
+            cfg0, _ = new_configuration(5, list(VALUES), crash=scenario.crash)
+            found.append(dfs(cfg0, scenario, ExploreBounds(), [], module._new_stats(10**6), {}))
+        assert found[0] is not None and found[0][0] == field
+        assert found[0] == found[1]
 
     def test_explore_confirms_the_mutant_is_broken(self):
         # With the adoption rule disabled, mixed decision entries cannot

@@ -7,18 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensuslab.errors import ConfigError, SimulatorBug
+from consensuslab.explore import fuzz, minimize
+from consensuslab.findings import racing_scenario
 from consensuslab.protocol import MsgKind
 from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
 from consensuslab.schedulers import SeededRandomScheduler
 from consensuslab.simulation import (
     CrashSpec,
     CrashPoint,
+    Deliver,
+    _entry_digest,
     apply_deliver,
     apply_receive_empty,
     enabled_deliveries,
     new_configuration,
 )
-from consensuslab.trace import Trace, replay, replays_identically, run
+from consensuslab.trace import Trace, replay, replays_identically, run, run_config, run_raw
 
 VALUES = default_values(5)
 
@@ -104,6 +108,45 @@ class TestBuffer:
                 assert enabled_deliveries(memo) == enabled_deliveries(plain)
             assert crash is None or memo.crashed == crash.victim
         assert steps
+
+    @pytest.mark.parametrize("n", [5, 15])
+    def test_lazy_digest_matches_a_rebuilt_configuration(self, n):
+        # Once computed, the dedupe digest is kept up to date step by step.
+        # After every step it must equal the digest of a twin that took the
+        # same steps without ever computing it (so a clone of the twin
+        # computes it from scratch), and at the end the digest of the
+        # configuration run_config rebuilds from the recorded events.
+        values = default_values(n)
+        crash = CrashSpec(1, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
+        for seed, cell in enumerate([None, crash]):
+            cfg, events = new_configuration(n, values, crash=cell)
+            twin, _ = new_configuration(n, values, crash=cell)
+            cfg.dedupe_digest()
+            scheduler = SeededRandomScheduler(seed=seed, fairness_bound=8)
+            while delivers := enabled_deliveries(cfg):
+                entry = scheduler.next(cfg, delivers)
+                m = entry.message
+                events.append(Deliver(m.sender, m.seq, m.dest, m.kind))
+                events.extend(apply_deliver(cfg, entry))
+                apply_deliver(twin, twin.buffer[entry.send_index])
+                assert twin.buf_acc is None and twin.proc_acc is None
+                assert cfg.dedupe_digest() == twin.clone().dedupe_digest()
+            rebuilt = run_config(Scenario(n=n, values=tuple(values), crash=cell), events)
+            assert rebuilt.buf_acc is None
+            assert cfg.dedupe_digest() == rebuilt.dedupe_digest()
+            assert cell is None or cfg.crashed == cell.victim
+
+    def test_plain_runs_never_hash_the_buffer(self):
+        # Only the explorer reads the dedupe digest; runs, fuzzing,
+        # minimizing and replaying must not pay for the buffer digest.
+        _entry_digest.cache_clear()
+        run_raw(scenario(seed=4))
+        fuzz(scenario(), 20)
+        replay(minimize(run(racing_scenario())))
+        assert _entry_digest.cache_info().currsize == 0
+        cfg, _ = new_configuration(5, VALUES)
+        cfg.dedupe_digest()
+        assert _entry_digest.cache_info().currsize > 0
 
 
 class TestCrashPoints:
