@@ -17,16 +17,17 @@ from typing import Optional
 from .errors import ConfigError, ConsensusLabError
 from .properties import (
     PROPERTY_NAMES,
+    TERMINATION,
     check_properties,
     report_for_config,
     safety_violation,
     terminal_violation,
 )
 from .protocol import MsgKind, Rules
-from .scenario import Scenario, SchedulerSpec, bit_values, crash_grid
+from .scenario import Scenario, bit_values, crash_grid
 from .schedulers import ScriptedScheduler
 from .simulation import Deliver, apply_deliver, enabled_deliveries, new_configuration
-from .trace import STATUS_COMPLETE, STATUS_STUCK, Trace, run, run_raw
+from .trace import STATUS_COMPLETE, STATUS_STUCK, Trace, run, run_raw, scripted
 
 OUTCOME_ALL_PASS = "all-pass"
 OUTCOME_COUNTEREXAMPLE = "counterexample"
@@ -73,24 +74,9 @@ class ExploreVerdict:
         return f"{self.outcome}{extra} [{stats}]"
 
 
-def _scripted_scenario(base: Scenario, events: list) -> Scenario:
-    script = tuple(
-        ("deliver_seq", ev.sender, ev.seq, ev.dest) for ev in events if isinstance(ev, Deliver)
-    )
-    return Scenario(
-        n=base.n,
-        values=base.values,
-        crash=base.crash,
-        scheduler=SchedulerSpec(type="scripted", script=script),
-        max_events=base.max_events,
-        rules=base.rules,
-        final_quorum=base.final_quorum,
-    )
-
-
 def _witness(base: Scenario, events: list, prop: str) -> Trace:
     """Package a failing schedule as a standalone trace and prove it fails."""
-    scenario = _scripted_scenario(base, events)
+    scenario = scripted(base, events)
     trace = run(scenario)
     report = check_properties(trace)
     if report.check(prop).ok:
@@ -134,19 +120,19 @@ def _events(messages: list) -> list:
     return [Deliver(m.sender, m.seq, m.dest, m.kind) for m in messages]
 
 
-def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict, seen: dict,
+def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict, seen: set,
          sink: Optional[set] = None, sleep: int = 0):
     """Depth-first search over all delivery interleavings from ``cfg0``.
 
     ``prefix`` lists the messages delivered to reach ``cfg0``.  Returns
     (property, witness_events) or None.  Children are expanded
     newest-delivery-first, which reaches adversarial reorderings early.
-    Deduplication keys on the canonical state digest; when a depth bound is
-    set the key also includes the depth so pruning stays exact.  ``sink``
-    collects the digests of terminal and depth-frontier configurations,
-    which lets tests cross-validate the reductions.  Process steps are
-    memoized across the search (a few hundred distinct steps recur in
-    millions of deliveries on n=5).
+    ``seen`` holds the dedupe digests of the stored configurations; when a
+    depth bound is set the key also includes the depth.  ``sink`` collects
+    the digests of terminal and depth-frontier configurations, which lets
+    tests cross-validate the reductions.  Process steps are memoized across
+    the search (a few hundred distinct steps recur in millions of
+    deliveries on n=5).
 
     Sleep sets with state caching (Godefroid 1996) skip deliveries whose
     configuration an earlier branch has already reached.  Two deliveries
@@ -155,16 +141,26 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     only the victim's inbound messages.  A child's sleep set is its
     parent's sleep set plus the deliveries already tried from the parent,
     less those to the child's own destination; ``sleep`` is the sleep set
-    of ``cfg0``.  ``seen`` maps each stored digest to the sleep set its
-    configuration was expanded with (empty for terminal and frontier
-    configurations).  When a stored configuration is reached again with a
-    sleep set S that lacks part of its stored set T, the deliveries in
-    T - S are expanded from it after all and T & S is stored.  The set of
-    stored configurations, the order in which they are first reached, and
-    so every verdict, witness and count except ``dedupe_hits``, equal those
-    of the unreduced search.  ``dedupe_hits`` counts every delivery that
-    reaches a stored configuration, re-expanded ones included, so
-    ``configs + dedupe_hits`` is the number of deliveries made.
+    of ``cfg0``.  A delivery in a sleep set is never made.
+
+    A stored configuration reached again is not expanded again, even with a
+    smaller sleep set than it was stored with: Godefroid's re-expansion of
+    the difference is not needed here.  Every path to a configuration has
+    the same length (the messages sent less those still buffered), so the
+    graph is acyclic, and a stored configuration reached again is deeper
+    than every configuration on the stack and so fully expanded.  By
+    induction in the order expansions finish, everything reachable from a
+    fully expanded configuration is stored: a delivery t in the sleep set
+    of a configuration x was tried at an ancestor a of x (for a chunk's
+    root, at the chunk's start) before the branch leading to x, and
+    commutes with every delivery on the path w from a to x, so t from x
+    reaches what w reaches from a's t-child, whose expansion finished
+    before x was reached.  Hence the search stores the same configurations
+    in the same order as the unreduced search, and every verdict, witness
+    and count except ``dedupe_hits`` is the same; ``configs + dedupe_hits``
+    is the number of deliveries made.  The argument needs every enabled
+    delivery outside the sleep set to be made: persistent or stubborn sets,
+    or DPOR, break it and must bring re-expansion back.
 
     The safety check runs on a new configuration only if the delivery
     replaced its destination's decision or decision-stage entry: the
@@ -173,7 +169,6 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     values = list(base.values)
     n = base.n
     steps: dict = {}
-    sleeps: dict = {}  # interned sleep sets, so equal ones share one int
     independent = _independent(n, bounds.dedupe)
     max_depth = bounds.max_depth
     depth0 = len(prefix)
@@ -187,7 +182,7 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
         return v[0], _events(prefix)
     stats["configs"] += 1
     if bounds.dedupe:
-        seen[digest(cfg0, depth0)] = sleep
+        seen.add(digest(cfg0, depth0))
     # A frame is [configuration, children left, depth, sleep set plus the
     # children tried so far].  enabled_deliveries lists entries in send
     # order; popping from the end expands the newest delivery first.
@@ -207,25 +202,14 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
         if tried & bit:
             continue  # asleep
         frame[3] = tried | bit
-        child_sleep = tried & independent[m.dest]
         child = cfg.clone()
         apply_deliver(child, child.buffer[entry.send_index], steps)
-        frontier = max_depth is not None and depth + 1 >= max_depth
         if bounds.dedupe:
             key = digest(child, depth + 1)
-            stored = seen.get(key)
-            if stored is not None:
+            if key in seen:
                 stats["dedupe_hits"] += 1
-                redo = stored & ~child_sleep
-                if redo:
-                    stats["reexpanded"] += 1
-                    kept = stored & child_sleep
-                    seen[key] = sleeps.setdefault(kept, kept)
-                    again = [e for e in enabled_deliveries(child) if _key_bit(e.message, n) & redo]
-                    path.append(m)
-                    stack.append([child, again, depth + 1, child_sleep])
                 continue
-            seen[key] = 0 if frontier else sleeps.setdefault(child_sleep, child_sleep)
+            seen.add(key)
         stats["configs"] += 1
         path.append(m)
         before, after = cfg.processes[m.dest], child.processes[m.dest]
@@ -247,14 +231,14 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
         if stats["configs"] >= stats["budget"]:
             stats["truncated"] = stats["exhausted"] = True
             return None
-        if frontier:
+        if max_depth is not None and depth + 1 >= max_depth:
             stats["frontier"] += 1
             stats["truncated"] = True
             if sink is not None:
                 sink.add(child.dedupe_digest())
             path.pop()
             continue
-        stack.append([child, nxt, depth + 1, child_sleep])
+        stack.append([child, nxt, depth + 1, tried & independent[m.dest]])
     return None
 
 
@@ -264,7 +248,6 @@ def _new_stats(budget: int) -> dict:
         "dedupe_hits": 0,
         "terminals": 0,
         "frontier": 0,
-        "reexpanded": 0,  # revisits that expanded deliveries the first visit slept
         "truncated": False,  # some configuration was left unexpanded
         "exhausted": False,  # the budget ran out
         "budget": budget,
@@ -280,7 +263,7 @@ def _explore_chunk(args) -> dict:
     )
     independent = _independent(base.n, bounds.dedupe)
     stats = _new_stats(budget)
-    seen: dict = {}
+    seen: set = set()
     sink: set = set()
     found = None
     tried = 0  # the roots this chunk has searched, as sleep-set bits
@@ -320,13 +303,11 @@ def explore(
     out of budget.
 
     Sleep sets skip deliveries that would reach an already stored
-    configuration.  Two deliveries are dependent iff they share a
-    destination; a stored configuration reached again with a sleep set
-    lacking part of the one it was stored with expands that part after all.
-    The stored configurations, and so every verdict, witness and count but
-    one, are those of the unreduced search: ``stats["dedupe_hits"]`` counts
-    the deliveries that reached a stored configuration (re-expanded ones
-    included), so ``configs + dedupe_hits`` is the number of deliveries
+    configuration (two deliveries are dependent iff they share a
+    destination; see ``_dfs``).  The stored configurations, and so every
+    verdict, witness and count but one, are those of the unreduced search:
+    ``stats["dedupe_hits"]`` counts the deliveries that reached a stored
+    configuration, so ``configs + dedupe_hits`` is the number of deliveries
     made.  With ``dedupe`` off there is no state cache and no sleep set:
     every interleaving is searched.
     """
@@ -340,7 +321,7 @@ def explore(
 
     if chunks <= 1:
         stats = _new_stats(bounds.max_configs)
-        found = _dfs(cfg0, scenario, bounds, [], stats, {}, sink=reach_sink)
+        found = _dfs(cfg0, scenario, bounds, [], stats, set(), sink=reach_sink)
         return _verdict_from(scenario, found, [stats], stats["truncated"])
 
     groups = [root_keys[i::chunks] for i in range(chunks)]
@@ -532,7 +513,7 @@ def minimize(trace: Trace, max_replays: int = 4000) -> Trace:
     def still_fails(candidate: list) -> bool:
         nonlocal replays
         replays += 1
-        scenario = _scripted_scenario(trace.scenario, candidate)
+        scenario = scripted(trace.scenario, candidate)
         try:
             cfg, _, status = run_raw(
                 scenario, scheduler=ScriptedScheduler(list(scenario.scheduler.script))
@@ -542,8 +523,13 @@ def minimize(trace: Trace, max_replays: int = 4000) -> Trace:
         rep = report_for_config(cfg, list(scenario.values), status)
         return not rep.check(prop).ok
 
+    # Without a crash, the first delivery a candidate drops stays enabled,
+    # so every candidate ends in script_end, which passes termination by
+    # definition: a crash-free termination witness cannot shrink.  With a
+    # crash the dropped deliveries may all go to the victim, and it can.
+    shrinkable = prop != TERMINATION or trace.scenario.crash is not None
     granularity = 2
-    while len(events) >= 2 and replays < max_replays:
+    while shrinkable and len(events) >= 2 and replays < max_replays:
         chunk = max(1, len(events) // granularity)
         shrunk = False
         start = 0
@@ -561,7 +547,7 @@ def minimize(trace: Trace, max_replays: int = 4000) -> Trace:
         else:
             granularity = min(len(events), granularity * 2)
 
-    final = run(_scripted_scenario(trace.scenario, events))
+    final = run(scripted(trace.scenario, events))
     final_report = check_properties(final)
     if final_report.check(prop).ok:
         raise ConsensusLabError("internal error: minimized trace no longer fails")

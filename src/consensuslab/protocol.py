@@ -17,6 +17,7 @@ The network lives elsewhere (see :mod:`consensuslab.simulation`).
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -90,10 +91,6 @@ class Rules:
             "fill_on_second": self.fill_on_second,
             "adopt_full_vector": self.adopt_full_vector,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Rules":
-        return cls(**{k: bool(v) for k, v in d.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +174,6 @@ def encode_message(m: Message) -> bytes:
         + bytes([m.kind])
         + encode_payload(m.kind, m.payload)
     )
-
-
-@lru_cache(maxsize=65536)
-def _vec_key(vec: Optional[Vector]) -> int:
-    import hashlib
-
-    return int.from_bytes(
-        hashlib.blake2b(encode_vector(vec), digest_size=8).digest(), "big"
-    )
-
-
-@lru_cache(maxsize=65536)
-def _msg_key(m: Message) -> int:
-    import hashlib
-
-    return int.from_bytes(hashlib.blake2b(encode_message(m), digest_size=8).digest(), "big")
 
 
 # ---------------------------------------------------------------------------
@@ -452,40 +433,23 @@ class Process:
 
     def clone(self) -> "Process":
         c = Process.__new__(Process)
-        c.pid = self.pid
-        c.n = self.n
-        c.input = self.input
-        c.rules = self.rules
-        c.quorum = self.quorum
-        c.final_quorum = self.final_quorum
-        c.phase = self.phase
-        c.started = self.started
-        c.sent_seq = self.sent_seq
-        c.output = self.output
+        c.__dict__.update(self.__dict__)
+        # Every other field holds an immutable value; a mutable container
+        # added to the state must be copied here as well.
         c.known_values = dict(self.known_values)
-        c.initial_count = self.initial_count
         c.next_seq = dict(self.next_seq)
         c.reorder = {j: dict(b) for j, b in self.reorder.items()}
         c.seen_seqs = {j: set(s) for j, s in self.seen_seqs.items()}
         c.pending_proposals = list(self.pending_proposals)
         c.pending_finals = list(self.pending_finals)
-        c.first_proposal = self.first_proposal
-        c.second_sent = self.second_sent
-        c.second_value = self.second_value
         c.first_tally = dict(self.first_tally)
-        c.second_count = self.second_count
-        c.completion = self.completion
-        c.decision_entry = self.decision_entry
         c.final_slots = list(self.final_slots)
-        c.final_count = self.final_count
-        c.seen_full_final = self.seen_full_final
-        c.decided = self.decided
-        c._canon = self._canon
-        c._skey = self._skey
         return c
 
     def canonical_bytes(self) -> bytes:
-        """Deterministic byte image of the full state, for hashing and equality.
+        """Deterministic byte image of the full state: the process's only
+        image, from which ``state_key``, the explorer's step memo and
+        ``Configuration.config_hash`` are derived.
 
         Cached between mutations: cloning a configuration and delivering one
         message recomputes the image of the one touched process only.  The
@@ -528,48 +492,9 @@ class Process:
         return self._canon
 
     def state_key(self) -> int:
-        """128-bit digest of the state, cheap enough for per-step hashing.
-
-        Vectors and buffered messages enter through small cached integer
-        keys, so a digest recompute touches only a few dozen ints.
-        """
-        if self._skey is not None:
-            return self._skey
-        import hashlib
-
-        state = (
-            self.pid,
-            int(self.phase),
-            self.started,
-            self.second_sent,
-            self.sent_seq,
-            self.initial_count,
-            tuple(sorted(self.known_values.items())),
-            tuple(sorted(self.next_seq.items())),
-            tuple(
-                (j, tuple(_msg_key(self.reorder[j][q]) for q in sorted(self.reorder[j])))
-                for j in sorted(self.reorder)
-                if self.reorder[j]
-            ),
-            tuple(
-                (j, tuple(sorted(self.seen_seqs[j])))
-                for j in sorted(self.seen_seqs)
-                if self.seen_seqs[j]
-            ),
-            tuple(_msg_key(m) for m in self.pending_proposals),
-            tuple(_msg_key(m) for m in self.pending_finals),
-            _vec_key(self.first_proposal),
-            tuple(sorted((_vec_key(v), c) for v, c in self.first_tally.items())),
-            self.second_count,
-            _vec_key(self.second_value),
-            _vec_key(self.completion),
-            _vec_key(self.decision_entry),
-            tuple(_vec_key(v) for v in self.final_slots),
-            self.final_count,
-            _vec_key(self.seen_full_final),
-            _vec_key(self.decided),
-        )
-        self._skey = int.from_bytes(
-            hashlib.blake2b(repr(state).encode(), digest_size=16).digest(), "big"
-        )
+        """128-bit blake2b digest of :meth:`canonical_bytes`, cached likewise."""
+        if self._skey is None:
+            self._skey = int.from_bytes(
+                hashlib.blake2b(self.canonical_bytes(), digest_size=16).digest(), "big"
+            )
         return self._skey

@@ -42,6 +42,21 @@ def _check_n(n: int) -> None:
         raise ConfigError(f"field n: must be in [{MIN_PROCESSES}, {MAX_PROCESSES}], got {n}")
 
 
+def _section(d: dict, name: str) -> dict:
+    """The JSON object under ``name``; an absent one is empty."""
+    section = d.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"field {name}: must be an object, got {section!r}")
+    return section
+
+
+def _flag(section: dict, where: str, name: str, default: bool) -> bool:
+    flag = section.get(name, default)
+    if type(flag) is not bool:
+        raise ConfigError(f"field {where}.{name}: must be true or false, got {flag!r}")
+    return flag
+
+
 @dataclass(frozen=True)
 class SchedulerSpec:
     type: str = "seeded-random"
@@ -97,6 +112,11 @@ class Scenario:
                 f"field scheduler.fairness_bound: must be a non-negative integer, "
                 f"got {sched.fairness_bound!r}"
             )
+        if not 0.0 <= sched.empty_probability <= 1.0:
+            raise ConfigError(
+                f"field scheduler.empty_probability: must be in [0, 1], "
+                f"got {sched.empty_probability!r}"
+            )
         if sched.starve is not None and (
             type(sched.starve) is not int or not 0 <= sched.starve < self.n
         ):
@@ -128,14 +148,17 @@ class Scenario:
             n = int(d["n"])
             _check_n(n)
             raw_values = d.get("initial_values")
+            if raw_values is not None and not isinstance(raw_values, list):
+                raise ConfigError(f"field initial_values: must be a list, got {raw_values!r}")
             values = (
                 tuple(default_values(n))
                 if raw_values is None
                 else tuple(bytes.fromhex(v) for v in raw_values)
             )
             crash = d.get("crash")
-            sched = d.get("scheduler", {})
-            bounds = d.get("bounds", {})
+            sched = _section(d, "scheduler")
+            bounds = _section(d, "bounds")
+            rules = _section(d, "rules")
             scenario = cls(
                 n=n,
                 values=values,
@@ -148,13 +171,13 @@ class Scenario:
                     empty_probability=float(sched.get("empty_probability", 0.0)),
                     empty_limit=int(sched.get("empty_limit", 0)),
                     script=tuple(tuple(item) for item in sched.get("script", [])),
-                    drain_rest=bool(sched.get("drain_rest", False)),
+                    drain_rest=_flag(sched, "scheduler", "drain_rest", False),
                 ),
                 max_events=int(bounds.get("max_events", DEFAULT_MAX_EVENTS)),
-                rules=Rules.from_dict(d["rules"]) if "rules" in d else Rules(),
+                rules=Rules(**{k: _flag(rules, "rules", k, True) for k in rules}),
                 final_quorum=d.get("final_quorum"),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad scenario: {exc}") from exc
         scenario.validate()
         return scenario

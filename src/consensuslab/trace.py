@@ -9,7 +9,7 @@ list as a script reproduces the verdict and the hash bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -226,24 +226,34 @@ def run_config(trace_scenario: Scenario, events: list) -> Configuration:
     return cfg
 
 
-def replay(trace: Trace) -> Trace:
-    """Re-run a trace's schedule from its header; the result must match it."""
-    script = []
-    for ev in trace.events:
-        if isinstance(ev, Deliver):
-            script.append(("deliver_seq", ev.sender, ev.seq, ev.dest))
-        elif isinstance(ev, ReceiveEmpty):
-            script.append(("empty", ev.dest))
-    scripted = Scenario(
-        n=trace.scenario.n,
-        values=trace.scenario.values,
-        crash=trace.scenario.crash,
-        scheduler=SchedulerSpec(type="scripted", script=tuple(script)),
-        max_events=trace.scenario.max_events,
-        rules=trace.scenario.rules,
-        final_quorum=trace.scenario.final_quorum,
+def scripted(base: Scenario, events: list) -> Scenario:
+    """``base`` with a scripted scheduler that replays the deliveries and
+    empty receives of ``events`` (crash events re-trigger by themselves)."""
+    script = tuple(
+        ("deliver_seq", ev.sender, ev.seq, ev.dest) if isinstance(ev, Deliver) else ("empty", ev.dest)
+        for ev in events
+        if isinstance(ev, (Deliver, ReceiveEmpty))
     )
-    return run(scripted, scheduler=ScriptedScheduler(script, drain_rest=False))
+    return replace(base, scheduler=SchedulerSpec(type="scripted", script=script))
+
+
+def replay(trace: Trace) -> Trace:
+    """Re-run a trace's schedule from its header; the result must match it.
+
+    An event that the run cannot apply (a hand-edited trace) is a
+    ``ConfigError`` naming the event.
+    """
+    scenario = scripted(trace.scenario, trace.events)
+    scheduler = ScriptedScheduler(scenario.scheduler.script)
+    try:
+        return run(scenario, scheduler=scheduler)
+    except SimulatorBug as exc:
+        steps = [i for i, ev in enumerate(trace.events) if isinstance(ev, (Deliver, ReceiveEmpty))]
+        i = steps[scheduler.pos - 1]
+        raise ConfigError(
+            f"trace event {i} {json.dumps(trace.events[i].to_dict(), sort_keys=True)} "
+            f"cannot be replayed: {exc}"
+        ) from exc
 
 
 def replays_identically(trace: Trace) -> bool:

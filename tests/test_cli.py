@@ -165,14 +165,21 @@ def _truncated_decision(lines):
     return lines[:-1] + [json.dumps(verdict)]
 
 
+def _unmatched_event(lines):
+    event = json.loads(lines[1])
+    event["seq"] = 7
+    return lines[:1] + [json.dumps(event)] + lines[2:]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda lines: lines[:1] + ["{not json"] + lines[1:], "not valid JSON"),
         (_no_config_hash, "config_hash"),
         (_truncated_decision, "truncated vector"),
+        (_unmatched_event, 'trace event 0 {"dest": '),
     ],
-    ids=["non-json-line", "no-config-hash", "truncated-vector"],
+    ids=["non-json-line", "no-config-hash", "truncated-vector", "unmatched-event"],
 )
 def test_replay_rejects_malformed_traces(tmp_path, capsys, edit, message):
     path = tmp_path / "broken.jsonl"

@@ -51,8 +51,8 @@ def base_scenario(**kw):
 
 def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, sink=None, sleep=0):
     """The plain search, as an oracle for ``explore._dfs``: every enabled
-    delivery is made, every new configuration is safety-checked, and
-    ``seen`` is used as a set (the sleep set is ignored)."""
+    delivery is made and every new configuration is safety-checked (the
+    sleep set is ignored)."""
     values = list(base.values)
 
     def key(cfg, depth):
@@ -66,7 +66,7 @@ def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, sink=None, sleep=0):
         return v[0], events(prefix)
     stats["configs"] += 1
     if bounds.dedupe:
-        seen[key(cfg0, len(prefix))] = None
+        seen.add(key(cfg0, len(prefix)))
     stack = [(cfg0, enabled_deliveries(cfg0), len(prefix))]
     path = list(prefix)
     while stack:
@@ -84,7 +84,7 @@ def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, sink=None, sleep=0):
             if k in seen:
                 stats["dedupe_hits"] += 1
                 continue
-            seen[k] = None
+            seen.add(k)
         stats["configs"] += 1
         path.append(entry.message)
         v = safety_violation(child, values)
@@ -271,11 +271,6 @@ class TestExplore:
             ExploreBounds(max_configs=3000),
         ]
         module = importlib.import_module("consensuslab.explore")
-        created = []
-        new_stats = module._new_stats
-        monkeypatch.setattr(
-            module, "_new_stats", lambda budget: created.append(new_stats(budget)) or created[-1]
-        )
 
         def search_all():
             out = []
@@ -291,13 +286,11 @@ class TestExplore:
             return out
 
         reduced = search_all()
-        reexpanded = sum(s["reexpanded"] for s in created)
         monkeypatch.setattr(module, "_dfs", unreduced_dfs)
         plain = search_all()
         assert [r[0] for r in reduced] == [p[0] for p in plain]
         assert all(r[1] < p[1] or p[1] == 0 for r, p in zip(reduced, plain))
         assert sum(r[1] for r in reduced) < sum(p[1] for p in plain)
-        assert reexpanded > 0
         assert any(p[0][0] == OUTCOME_COUNTEREXAMPLE for p in plain)
 
     @pytest.mark.parametrize("field", ["decided", "decision_entry"])
@@ -318,7 +311,7 @@ class TestExplore:
         found = []
         for dfs in (module._dfs, unreduced_dfs):
             cfg0, _ = new_configuration(5, list(VALUES), crash=scenario.crash)
-            found.append(dfs(cfg0, scenario, ExploreBounds(), [], module._new_stats(10**6), {}))
+            found.append(dfs(cfg0, scenario, ExploreBounds(), [], module._new_stats(10**6), set()))
         assert found[0] is not None and found[0][0] == field
         assert found[0] == found[1]
 
@@ -353,6 +346,43 @@ class TestMinimize:
         )
         with pytest.raises(ConfigError):
             minimize(trace)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_crash_free_termination_witness_returns_at_once(self, monkeypatch, n):
+        # Every shortened script of a crash-free run leaves its first
+        # dropped delivery enabled and so ends in script_end, which passes
+        # termination: minimize replays no candidate, and returns what the
+        # full chunk-deletion loop returns after failing every candidate.
+        base = Scenario(n=n, values=tuple(default_values(n)), rules=MUTANTS["fill-mismatch"])
+        verdict = fuzz(base, 100, stop_on_first=True)
+        assert verdict.prop == "termination" and verdict.trace.scenario.crash is None
+        module = importlib.import_module("consensuslab.explore")
+        replays = []
+        run_raw = module.run_raw
+        monkeypatch.setattr(module, "run_raw", lambda *a, **kw: replays.append(1) or run_raw(*a, **kw))
+        quick = minimize(verdict.trace)
+        assert replays == []
+        monkeypatch.setattr(module, "TERMINATION", None)  # force the loop on
+        full = minimize(verdict.trace)
+        assert len(replays) > 50
+        assert quick.to_jsonl() == full.to_jsonl()
+        assert "termination" in check_properties(quick).failures()
+
+    def test_termination_witness_with_a_crash_still_shrinks(self):
+        # With a crash, every dropped delivery can go to the victim, so a
+        # shortened script can end stuck and still fail termination.
+        base = replace(base_scenario(), rules=MUTANTS["fill-mismatch"])
+        scenario = list(_fuzz_outcomes(base, crash_grid(5), 7, "bits", workers=1))[6][0]
+        trace = run(scenario)
+        assert scenario.crash is not None
+        assert check_properties(trace).failures()[0] == "termination"
+        small = minimize(trace)
+
+        def deliveries(t):
+            return sum(isinstance(ev, Deliver) for ev in t.events)
+
+        assert deliveries(small) < deliveries(trace)
+        assert "termination" in check_properties(small).failures()
 
     def test_minimize_is_idempotent_enough(self):
         trace = run(racing_scenario())

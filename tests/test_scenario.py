@@ -1,0 +1,94 @@
+"""Scenario files: any JSON object loads as a valid scenario or is a ConfigError."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from consensuslab.errors import ConfigError
+from consensuslab.scenario import Scenario
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 300)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _object(fields: dict):
+    """JSON objects holding any subset of ``fields``, each with a value drawn
+    from its plausible values or from arbitrary JSON."""
+    return st.fixed_dictionaries(
+        {}, optional={name: st.sampled_from(plausible) | JSON for name, plausible in fields.items()}
+    )
+
+
+RULES = _object({name: [True, False] for name in (
+    "ordered_delivery", "fill_on_gap_mismatch", "fill_on_second", "adopt_full_vector", "x")})
+SCHEDULER = _object({
+    "type": ["seeded-random", "adversarial-lifo", "scripted"],
+    "seed": [0, 7],
+    "fairness_bound": [0, 64],
+    "starve": [None, 0, 4],
+    "empty_probability": [0.0, 0.5],
+    "empty_limit": [0, 2],
+    "script": [[], [["deliver", 0, "initial", 1]], [["empty", 2]]],
+    "drain_rest": [True, False],
+})
+CRASH = _object({
+    "victim": [0, 4],
+    "point": ["before", "during", "after"],
+    "kind": ["initial", "first", "second", "final"],
+    "delivered_to": [None, [0], [1, 2], [0, 1, 2, 3]],
+})
+SCENARIO = st.fixed_dictionaries(
+    {},
+    optional={
+        "n": st.sampled_from([5, 6, 4, 256]) | JSON,
+        "initial_values": st.sampled_from([None, ["01", "02", "03", "04", "05"], ["0a"] * 6]) | JSON,
+        "crash": st.none() | CRASH | JSON,
+        "scheduler": SCHEDULER | JSON,
+        "bounds": _object({"max_events": [1, 10_000, 0]}) | JSON,
+        "rules": RULES | JSON,
+        "final_quorum": st.sampled_from([None, 1, 3, 4]) | JSON,
+    },
+)
+
+
+@given(SCENARIO)
+@settings(max_examples=400, deadline=None)
+def test_from_dict_gives_a_valid_scenario_or_config_error(d):
+    try:
+        scenario = Scenario.from_dict(d)
+    except ConfigError:
+        return
+    scenario.validate()
+    again = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
+    assert again.to_dict() == scenario.to_dict()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("rules", [True], "field rules"),
+        ("rules", "ordered_delivery", "field rules"),
+        ("scheduler", "seeded-random", "field scheduler"),
+        ("bounds", 10_000, "field bounds"),
+        ("rules", {"ordered_delivery": "false"}, "field rules.ordered_delivery"),
+        ("rules", {"adopt_full_vector": 0}, "field rules.adopt_full_vector"),
+        ("scheduler", {"type": "scripted", "drain_rest": "yes"}, "field scheduler.drain_rest"),
+        ("crash", {"victim": 4, "point": "during", "kind": "first", "delivered_to": "01"},
+         "delivered_to"),
+        ("initial_values", "0102030405", "field initial_values"),
+        ("scheduler", {"empty_probability": 2}, "field scheduler.empty_probability"),
+        ("scheduler", {"empty_probability": "nan"}, "field scheduler.empty_probability"),
+    ],
+)
+def test_from_dict_rejects_ill_typed_sections(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        Scenario.from_dict({"n": 5, field: value})
