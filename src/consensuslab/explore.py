@@ -26,7 +26,14 @@ from .properties import (
 from .protocol import MsgKind, Rules
 from .scenario import Scenario, bit_values, crash_grid
 from .schedulers import ScriptedScheduler
-from .simulation import Deliver, apply_deliver, enabled_deliveries, new_configuration
+from .simulation import (
+    Deliver,
+    apply_deliver,
+    apply_step,
+    enabled_deliveries,
+    memo_step,
+    new_configuration,
+)
 from .trace import STATUS_COMPLETE, STATUS_STUCK, Trace, run, run_raw, scripted
 
 OUTCOME_ALL_PASS = "all-pass"
@@ -121,7 +128,7 @@ def _events(messages: list) -> list:
 
 
 def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict, seen: set,
-         sink: Optional[set] = None, sleep: int = 0):
+         steps: Optional[dict], sink: Optional[set] = None, sleep: int = 0):
     """Depth-first search over all delivery interleavings from ``cfg0``.
 
     ``prefix`` lists the messages delivered to reach ``cfg0``.  Returns
@@ -130,9 +137,18 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     ``seen`` holds the dedupe digests of the stored configurations; when a
     depth bound is set the key also includes the depth.  ``sink`` collects
     the digests of terminal and depth-frontier configurations, which lets
-    tests cross-validate the reductions.  Process steps are memoized across
-    the search (a few hundred distinct steps recur in millions of
-    deliveries on n=5).
+    tests cross-validate the reductions.  ``steps`` is the step memo of
+    the ``explore`` call (see ``simulation.memo_step``; a few hundred
+    distinct steps recur in millions of deliveries on n=5), or None to
+    step every delivery afresh.
+
+    A delivery looks its step up once, and with dedupe on checks the
+    child's digest before building the child: from the parent's
+    accumulators and the memo entry, ``step_digest`` gives the exact
+    digest the child would have, so a delivery that reaches a stored
+    configuration costs no clone.  Otherwise the child is cloned and takes
+    that same step.  A delivery to the victim of a pending crash, whose
+    step depends on the crash anchor, is cloned and stepped afresh.
 
     Sleep sets with state caching (Godefroid 1996) skip deliveries whose
     configuration an earlier branch has already reached.  Two deliveries
@@ -168,21 +184,27 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     """
     values = list(base.values)
     n = base.n
-    steps: dict = {}
-    independent = _independent(n, bounds.dedupe)
+    dedupe = bounds.dedupe
+    independent = _independent(n, dedupe)
     max_depth = bounds.max_depth
     depth0 = len(prefix)
 
-    def digest(cfg, depth):
-        d = cfg.dedupe_digest()
-        return d if max_depth is None else (d, depth)
+    def stored(d, depth) -> bool:
+        """Store digest ``d`` (at ``depth`` under a depth bound), or count a
+        dedupe hit if it is stored already."""
+        key = d if max_depth is None else (d, depth)
+        if key in seen:
+            stats["dedupe_hits"] += 1
+            return True
+        seen.add(key)
+        return False
 
     v = safety_violation(cfg0, values)
     if v is not None:
         return v[0], _events(prefix)
     stats["configs"] += 1
-    if bounds.dedupe:
-        seen.add(digest(cfg0, depth0))
+    if dedupe:
+        stored(cfg0.dedupe_digest(), depth0)
     # A frame is [configuration, children left, depth, sleep set plus the
     # children tried so far].  enabled_deliveries lists entries in send
     # order; popping from the end expands the newest delivery first.
@@ -202,14 +224,18 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
         if tried & bit:
             continue  # asleep
         frame[3] = tried | bit
-        child = cfg.clone()
-        apply_deliver(child, child.buffer[entry.send_index], steps)
-        if bounds.dedupe:
-            key = digest(child, depth + 1)
-            if key in seen:
-                stats["dedupe_hits"] += 1
+        pending = cfg.crash_pending
+        if steps is not None and (pending is None or pending.victim != m.dest):
+            step = memo_step(steps, cfg.processes[m.dest], m)
+            if dedupe and stored(cfg.step_digest(entry, step), depth + 1):
                 continue
-            seen.add(key)
+            child = cfg.clone()
+            apply_step(child, entry, step)
+        else:
+            child = cfg.clone()
+            apply_deliver(child, entry)
+            if dedupe and stored(child.dedupe_digest(), depth + 1):
+                continue
         stats["configs"] += 1
         path.append(m)
         before, after = cfg.processes[m.dest], child.processes[m.dest]
@@ -254,8 +280,11 @@ def _new_stats(budget: int) -> dict:
     }
 
 
-def _explore_chunk(args) -> dict:
+def _explore_chunk(args, steps: Optional[dict] = None) -> dict:
+    """Search the roots ``first_keys`` with the search's step memo
+    ``steps``; a pool job, which gets none, builds its own."""
     scenario_dict, bounds, first_keys, budget = args
+    steps = {} if steps is None else steps
     base = Scenario.from_dict(scenario_dict)
     cfg0, _ = new_configuration(
         base.n, list(base.values), crash=base.crash, rules=base.rules,
@@ -275,7 +304,8 @@ def _explore_chunk(args) -> dict:
         )
         m = entry.message
         apply_deliver(child, entry)
-        found = _dfs(child, base, bounds, [m], stats, seen, sink, tried & independent[m.dest])
+        found = _dfs(child, base, bounds, [m], stats, seen, steps, sink,
+                     tried & independent[m.dest])
         if found is not None or stats["exhausted"]:
             break
         tried |= _key_bit(m, base.n)
@@ -310,6 +340,12 @@ def explore(
     configuration, so ``configs + dedupe_hits`` is the number of deliveries
     made.  With ``dedupe`` off there is no state cache and no sleep set:
     every interleaving is searched.
+
+    Process steps are memoized for the length of the call: one memo serves
+    every root of every chunk searched in this process, a pool job builds
+    its own, and none outlives the call.  The memo's key, a process image,
+    leaves out the rules and the final quorum, so a memo serves one
+    scenario only.
     """
     bounds.validate()
     cfg0, _ = new_configuration(
@@ -318,10 +354,11 @@ def explore(
     )
     roots = list(reversed(enabled_deliveries(cfg0)))  # newest first
     root_keys = [(e.message.sender, e.message.seq, e.message.dest) for e in roots]
+    steps: dict = {}  # this call's step memo: one scenario, never kept
 
     if chunks <= 1:
         stats = _new_stats(bounds.max_configs)
-        found = _dfs(cfg0, scenario, bounds, [], stats, set(), sink=reach_sink)
+        found = _dfs(cfg0, scenario, bounds, [], stats, set(), steps, sink=reach_sink)
         return _verdict_from(scenario, found, [stats], stats["truncated"])
 
     groups = [root_keys[i::chunks] for i in range(chunks)]
@@ -329,7 +366,7 @@ def explore(
     budget = max(1, bounds.max_configs // len(groups))
     jobs = [(scenario.to_dict(), bounds, g, budget) for g in groups]
     if workers <= 1:
-        results = [_explore_chunk(job) for job in jobs]
+        results = [_explore_chunk(job, steps) for job in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_explore_chunk, jobs))

@@ -20,11 +20,12 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError
-from .protocol import MIN_PROCESSES, MsgKind, Rules
+from .protocol import KIND_BY_NAME, KIND_NAMES, MIN_PROCESSES, MsgKind, Rules
 from .simulation import CrashSpec, CrashPoint
 
 DEFAULT_MAX_EVENTS = 10_000
 MAX_PROCESSES = 255  # encode_vector stores a vector's width in one byte
+SCHEDULER_TYPES = ("seeded-random", "adversarial-lifo", "scripted")
 
 
 def default_values(n: int) -> list:
@@ -48,6 +49,30 @@ def _section(d: dict, name: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"field {name}: must be an object, got {section!r}")
     return section
+
+
+def _script_item_error(item, n: int) -> Optional[str]:
+    """What is wrong with a scheduler script item, or None if nothing is."""
+    if not isinstance(item, (list, tuple)) or not item:
+        return "must be a non-empty list"
+    tag = item[0]
+    if tag == "empty":
+        if len(item) == 2 and type(item[1]) is int and 0 <= item[1] < n:
+            return None
+        return 'must be ["empty", dest] with dest in [0, n)'
+    if tag != "deliver" and tag != "deliver_seq":
+        return 'must start with "deliver", "deliver_seq" or "empty"'
+    if len(item) != 4:
+        middle = "seq" if tag == "deliver_seq" else "kind"
+        return f"must have 4 entries: {tag}, sender, {middle}, dest"
+    _, sender, third, dest = item
+    if type(sender) is not int or type(dest) is not int or not (0 <= sender < n and 0 <= dest < n):
+        return "sender and dest must be process ids in [0, n)"
+    if tag == "deliver_seq":
+        return None if type(third) is int and third >= 0 else "seq must be a non-negative integer"
+    if isinstance(third, MsgKind) or (type(third) is str and third in KIND_BY_NAME):
+        return None
+    return "kind must be a lowercase kind name"
 
 
 def _flag(section: dict, where: str, name: str, default: bool) -> bool:
@@ -76,7 +101,10 @@ class SchedulerSpec:
             d["empty_probability"] = self.empty_probability
             d["empty_limit"] = self.empty_limit
         if self.type == "scripted":
-            d["script"] = [list(item) for item in self.script]
+            d["script"] = [
+                [KIND_NAMES[x] if isinstance(x, MsgKind) else x for x in item]
+                for item in self.script
+            ]
             d["drain_rest"] = self.drain_rest
         return d
 
@@ -107,6 +135,15 @@ class Scenario:
                 f"field final_quorum: must be null or an integer in [1, {self.n - 1}], got {fq!r}"
             )
         sched = self.scheduler
+        if sched.type not in SCHEDULER_TYPES:
+            raise ConfigError(
+                f"field scheduler.type: must be one of {', '.join(SCHEDULER_TYPES)}, "
+                f"got {sched.type!r}"
+            )
+        for i, item in enumerate(sched.script):
+            problem = _script_item_error(item, self.n)
+            if problem is not None:
+                raise ConfigError(f"field scheduler.script[{i}]: {problem}, got {item!r}")
         if type(sched.fairness_bound) is not int or sched.fairness_bound < 0:
             raise ConfigError(
                 f"field scheduler.fairness_bound: must be a non-negative integer, "
@@ -159,6 +196,9 @@ class Scenario:
             sched = _section(d, "scheduler")
             bounds = _section(d, "bounds")
             rules = _section(d, "rules")
+            script = sched.get("script", [])
+            if not isinstance(script, list) or not all(isinstance(i, list) for i in script):
+                raise ConfigError(f"field scheduler.script: must be a list of lists, got {script!r}")
             scenario = cls(
                 n=n,
                 values=values,
@@ -170,7 +210,7 @@ class Scenario:
                     starve=sched.get("starve"),
                     empty_probability=float(sched.get("empty_probability", 0.0)),
                     empty_limit=int(sched.get("empty_limit", 0)),
-                    script=tuple(tuple(item) for item in sched.get("script", [])),
+                    script=tuple(tuple(item) for item in script),
                     drain_rest=_flag(sched, "scheduler", "drain_rest", False),
                 ),
                 max_events=int(bounds.get("max_events", DEFAULT_MAX_EVENTS)),

@@ -246,11 +246,26 @@ class Configuration:
             self.proc_acc = sum(p.state_key() for p in self.processes) & _ACC_MASK
         if self.buf_acc is None:
             self.buf_acc = sum(_entry_digest(e.message) for e in self.buffer.values()) & _ACC_MASK
+        return self._fold(self.proc_acc, self.buf_acc)
+
+    def step_digest(self, entry: BufferEntry, step: tuple) -> int:
+        """The ``dedupe_digest`` that ``apply_step(self.clone(), entry, step)``
+        would give, computed from this configuration's accumulators without
+        building the child.  ``dedupe_digest`` must have run on ``self``.
+        """
+        stepped, _, sent = step
+        old = self.processes[entry.message.dest]
+        return self._fold(
+            self.proc_acc - old.state_key() + stepped.state_key(),
+            self.buf_acc - _entry_digest(entry.message) + sent,
+        )
+
+    def _fold(self, proc_acc: int, buf_acc: int) -> int:
         tail = (
             (0 if self.crashed is None else self.crashed + 1)
             | ((0 if self.crash_pending is None else 1) << 8)
         )
-        return (self.proc_acc + 0x9E3779B97F4A7C15 * self.buf_acc + tail) & _ACC_MASK
+        return (proc_acc + 0x9E3779B97F4A7C15 * buf_acc + tail) & _ACC_MASK
 
 
 def new_configuration(
@@ -334,15 +349,68 @@ def enabled_deliveries(cfg: Configuration) -> list:
     return list(cfg.enabled.values())
 
 
-def apply_deliver(cfg: Configuration, entry: BufferEntry, steps: Optional[dict] = None) -> list:
+def memo_step(steps: dict, proc: Process, message: Message) -> tuple:
+    """The step memo's entry for delivering ``message`` to ``proc``, made on a miss.
+
+    ``steps`` maps (the process's canonical image, the message) to the
+    stepped process, the messages its step sends, in the order
+    ``_materialize`` appends them for a sender with no pending crash, and
+    the sum of their buffer digests.  The stepped process is shared by
+    every configuration that takes the step and is never mutated.  The
+    image leaves out ``rules`` and ``final_quorum``, so a memo must serve
+    one scenario only.
+    """
+    key = (proc.canonical_bytes(), message)
+    step = steps.get(key)
+    if step is None:
+        stepped = proc.clone()
+        sends = [
+            Message(proc.pid, d, b.seq, b.kind, b.payload)
+            for released in stepped.ingest(message)
+            for b in stepped.process(released)
+            for d in range(proc.n)
+            if d != proc.pid
+        ]
+        sent = sum(_entry_digest(m) for m in sends) & _ACC_MASK
+        step = steps[key] = (stepped, sends, sent)
+    return step
+
+
+def apply_step(cfg: Configuration, entry: BufferEntry, step: tuple) -> None:
+    """Deliver ``entry`` by its step memo entry ``step`` (see ``memo_step``):
+    swap in the stepped process, append its sends and add their digest
+    sum, building no message and hashing nothing.
+
+    Only for an enabled entry of a configuration made by ``clone``, whose
+    processes are copied before any mutation, and a destination that is
+    not a pending crash victim, whose step depends on the crash anchor, so
+    no crash bites.
+    """
+    del cfg.buffer[entry.send_index]
+    del cfg.enabled[entry.send_index]
+    dest = entry.message.dest
+    stepped, sends, sent = step
+    if cfg.proc_acc is not None:
+        cfg.proc_acc = (
+            cfg.proc_acc - cfg.processes[dest].state_key() + stepped.state_key()
+        ) & _ACC_MASK
+    cfg.processes[dest] = stepped
+    for msg in sends:
+        added = BufferEntry(msg, cfg.next_send_index)
+        cfg.buffer[added.send_index] = added
+        if msg.dest != cfg.crashed:
+            cfg.enabled[added.send_index] = added
+        cfg.next_send_index += 1
+    if cfg.buf_acc is not None:
+        cfg.buf_acc = (cfg.buf_acc - _entry_digest(entry.message) + sent) & _ACC_MASK
+    cfg.event_count += 1
+
+
+def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
     """Deliver one entry atomically; returns any crash events it triggered.
 
-    ``steps`` memoizes process steps across the configurations of one
-    search: it maps (the process's canonical image, the message) to the
-    stepped process and the broadcasts of each message it processed.  The
-    stepped process is shared, so the memo is used only on a configuration
-    made by ``clone`` (whose processes are copied before any mutation), and
-    not for the victim of a pending crash, whose step depends on the anchor.
+    The destination steps afresh.  The explorer delivers a memoized step
+    with ``apply_step`` instead.
     """
     if cfg.buffer.get(entry.send_index) is not entry:
         raise SimulatorBug("delivery of an entry that is not in the buffer")
@@ -355,26 +423,14 @@ def apply_deliver(cfg: Configuration, entry: BufferEntry, steps: Optional[dict] 
     dest = entry.message.dest
     proc = cfg.processes[dest]
     old_key = proc.state_key() if cfg.proc_acc is not None else 0
+    if cfg.shared:
+        proc = cfg.processes[dest] = proc.clone()
     events = []
-    pending = cfg.crash_pending
-    if steps is not None and cfg.shared and (pending is None or pending.victim != dest):
-        key = (proc.canonical_bytes(), entry.message)
-        step = steps.get(key)
-        if step is None:
-            stepped = proc.clone()
-            outputs = [stepped.process(msg) for msg in stepped.ingest(entry.message)]
-            step = steps[key] = (stepped, outputs)
-        proc = cfg.processes[dest] = step[0]
-        for broadcasts in step[1]:
-            events.extend(_materialize(cfg, dest, broadcasts))
-    else:
-        if cfg.shared:
-            proc = cfg.processes[dest] = proc.clone()
-        for msg in proc.ingest(entry.message):
-            broadcasts = proc.process(msg)
-            events.extend(_materialize(cfg, dest, broadcasts))
-            if cfg.crashed == dest:
-                break  # victim died mid-step; it takes no further steps
+    for msg in proc.ingest(entry.message):
+        broadcasts = proc.process(msg)
+        events.extend(_materialize(cfg, dest, broadcasts))
+        if cfg.crashed == dest:
+            break  # victim died mid-step; it takes no further steps
     if cfg.proc_acc is not None:
         cfg.proc_acc = (cfg.proc_acc - old_key + proc.state_key()) & _ACC_MASK
     cfg.event_count += 1
@@ -383,6 +439,8 @@ def apply_deliver(cfg: Configuration, entry: BufferEntry, steps: Optional[dict] 
 
 def apply_receive_empty(cfg: Configuration, dest: int) -> None:
     """An empty receive: observationally a no-op on process state."""
+    if not 0 <= dest < cfg.n:
+        raise SimulatorBug(f"empty receive at P{dest}, which does not exist")
     if dest == cfg.crashed:
         raise SimulatorBug("empty receive at a crashed process")
     cfg.empties_used[dest] = cfg.empties_used.get(dest, 0) + 1

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from consensuslab.cli import main
+from consensuslab.errors import ConfigError, SimulatorBug
 from consensuslab.findings import racing_scenario
 from consensuslab.scenario import Scenario, SchedulerSpec, default_values
+from consensuslab.simulation import apply_receive_empty, new_configuration
 from consensuslab.trace import Trace, run
 
 
@@ -197,3 +199,51 @@ def test_run_rejects_bad_final_quorum_and_n(tmp_path, capsys, field, value):
     path.write_text(json.dumps({"n": 5, field: value}))
     assert main(["run", str(path)]) == 1
     assert f"field {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scheduler, message",
+    [
+        ({"type": "bogus"}, "field scheduler.type"),
+        ({"type": "scripted", "script": "ab"}, "field scheduler.script"),
+        ({"type": "scripted", "script": [["deliver", 0, "initial", 1], "ab"]},
+         "field scheduler.script"),
+        ({"type": "scripted", "script": [["deliver", 0, "initial"]]}, "field scheduler.script[0]"),
+        ({"type": "scripted", "script": [["deliver", 0, "nokind", 1]]},
+         "field scheduler.script[0]"),
+        ({"type": "scripted", "script": [["deliver", 0, "INITIAL", 1]]},
+         "field scheduler.script[0]"),
+        ({"type": "scripted", "script": [["deliver", 0, 1, 1]]}, "field scheduler.script[0]"),
+        ({"type": "scripted", "script": [["deliver", True, "initial", 1]]},
+         "field scheduler.script[0]"),
+        ({"type": "scripted", "script": [["empty", "x"]]}, "field scheduler.script[0]"),
+        ({"type": "scripted", "script": [["deliver", 0, "initial", 1], ["empty", -1]]},
+         "field scheduler.script[1]"),
+        ({"type": "scripted", "script": [["deliver_seq", 0, 0, 5]]}, "field scheduler.script[0]"),
+        ({"type": "scripted", "script": [["deliver_seq", 0, -1, 1]]},
+         "field scheduler.script[0]"),
+        ({"type": "scripted", "script": [[]]}, "field scheduler.script[0]"),
+        ({"type": "scripted", "script": [["send", 0, 1]]}, "field scheduler.script[0]"),
+    ],
+)
+def test_run_rejects_bad_scheduler_type_and_script(tmp_path, capsys, scheduler, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n": 5, "scheduler": scheduler}))
+    assert main(["run", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=message.replace("[", r"\[")):
+        Scenario.from_dict({"n": 5, "scheduler": scheduler})
+
+
+def test_empty_receive_at_a_missing_process_is_rejected(tmp_path, capsys):
+    lines = _seeded_trace_records()
+    edited = lines[:2] + [json.dumps({"type": "receive_empty", "dest": 99})] + lines[2:]
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(edited) + "\n")
+    assert main(["replay", str(path)]) == 1
+    assert "scheduler.script[1]" in capsys.readouterr().err
+    cfg, _ = new_configuration(5, default_values(5))
+    for dest in (99, -1, 5):
+        with pytest.raises(SimulatorBug, match="does not exist"):
+            apply_receive_empty(cfg, dest)
+    assert cfg.event_count == 0 and not cfg.empties_used

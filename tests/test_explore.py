@@ -28,6 +28,7 @@ from consensuslab.properties import (
 from consensuslab.protocol import MsgKind
 from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
 from consensuslab.simulation import (
+    Configuration,
     CrashPoint,
     CrashSpec,
     Deliver,
@@ -49,10 +50,10 @@ def base_scenario(**kw):
     )
 
 
-def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, sink=None, sleep=0):
+def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, steps, sink=None, sleep=0):
     """The plain search, as an oracle for ``explore._dfs``: every enabled
-    delivery is made and every new configuration is safety-checked (the
-    sleep set is ignored)."""
+    delivery is cloned and stepped afresh, and every new configuration is
+    safety-checked (the step memo and the sleep set are ignored)."""
     values = list(base.values)
 
     def key(cfg, depth):
@@ -225,9 +226,12 @@ class TestExplore:
                 assert len(sinks[0]) == reached[depth]
 
     def test_memoized_steps_do_not_change_the_search(self, monkeypatch):
-        # The process-step memo must be invisible: every verdict, witness,
-        # count and reached state equals that of a search that steps each
-        # delivery afresh, with and without crashes and under the mutants.
+        # The step memo shared by every root of every chunk, and the dedupe
+        # check made from it before the clone, must be invisible: every
+        # verdict, witness, count and reached state equals that of a search
+        # that clones and steps each delivery afresh, with and without
+        # crashes, under the mutants, chunked or not, in this process or in
+        # a pool (whose forked workers inherit the patched search).
         scenarios = [base_scenario()]
         scenarios += [base_scenario(crash=c) for c in crash_grid(5)[1::17]]
         scenarios += [
@@ -235,22 +239,78 @@ class TestExplore:
                                                      frozenset({0})), rules=rules)
             for rules in MUTANTS.values()
         ]
+        runs = [(1, 1), (4, 1), (4, 2), (16, 1), (16, 2)]
 
         def search_all():
             out = []
             for scenario in scenarios:
                 for bounds in (ExploreBounds(max_configs=1000), ExploreBounds(max_depth=3)):
-                    sink: set = set()
-                    v = explore(scenario, bounds, reach_sink=sink)
-                    out.append((v.outcome, v.prop, v.stats, v.trace and v.trace.to_jsonl(), sink))
+                    for chunks, workers in runs:
+                        sink: set = set()
+                        v = explore(scenario, bounds, chunks=chunks, workers=workers,
+                                    reach_sink=sink)
+                        out.append((v.outcome, v.prop, v.stats, v.trace and v.trace.to_jsonl(),
+                                    sink))
             return out
 
         memoized = search_all()
         module = importlib.import_module("consensuslab.explore")
-        plain = module.apply_deliver
-        monkeypatch.setattr(module, "apply_deliver", lambda cfg, entry, steps=None: plain(cfg, entry))
+        dfs = module._dfs
+
+        def afresh(cfg0, base, bounds, prefix, stats, seen, steps, *rest, **kw):
+            return dfs(cfg0, base, bounds, prefix, stats, seen, None, *rest, **kw)
+
+        def no_memo(*args):
+            raise AssertionError("the oracle looked a step up")
+
+        monkeypatch.setattr(module, "_dfs", afresh)
+        monkeypatch.setattr(module, "memo_step", no_memo)
         assert search_all() == memoized
         assert any(v[0] == OUTCOME_COUNTEREXAMPLE for v in memoized)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_probed_digest_is_the_built_childs_digest(self, monkeypatch, n):
+        # The dedupe check before the clone computes the child's digest from
+        # the parent's accumulators and the memo entry.  Inside real
+        # searches, it must equal the digest of the child built by a clone
+        # and a fresh step, for every probed delivery: crash-free, in every
+        # crash cell of one victim, and under the four mutants.  Deliveries
+        # to a pending crash victim must never be probed; they take the
+        # fallback path, clone first and step afresh.
+        values = tuple(default_values(n))
+        base = Scenario(n=n, values=values)
+        mid = CrashSpec(n - 1, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
+        scenarios = [base] + [base.with_crash(c) for c in crash_grid(n)[1:] if c.victim == 1]
+        scenarios += [replace(base, crash=crash, rules=rules)
+                      for rules in MUTANTS.values() for crash in (None, mid)]
+        module = importlib.import_module("consensuslab.explore")
+        step_digest, plain = Configuration.step_digest, module.apply_deliver
+        probes, fallbacks = [], []
+
+        def checked(cfg, entry, step):
+            pending = cfg.crash_pending
+            assert pending is None or pending.victim != entry.message.dest
+            built = cfg.clone()
+            plain(built, entry)
+            probed = step_digest(cfg, entry, step)
+            assert probed == built.dedupe_digest()
+            probes.append(probed)
+            return probed
+
+        def counted(cfg, entry):
+            pending = cfg.crash_pending
+            if pending is not None and pending.victim == entry.message.dest:
+                fallbacks.append(entry)
+            return plain(cfg, entry)
+
+        monkeypatch.setattr(Configuration, "step_digest", checked)
+        monkeypatch.setattr(module, "apply_deliver", counted)
+        for scenario in scenarios:
+            before = len(probes)
+            explore(scenario, ExploreBounds(max_configs=400), chunks=2)
+            explore(scenario, ExploreBounds(max_depth=3, max_configs=400))
+            assert len(probes) > before
+        assert fallbacks and len(probes) > 10 * len(scenarios)
 
     def test_sleep_sets_match_the_unreduced_search(self, monkeypatch):
         # The soundness gate of the sleep sets: with and without crashes,
@@ -311,7 +371,8 @@ class TestExplore:
         found = []
         for dfs in (module._dfs, unreduced_dfs):
             cfg0, _ = new_configuration(5, list(VALUES), crash=scenario.crash)
-            found.append(dfs(cfg0, scenario, ExploreBounds(), [], module._new_stats(10**6), set()))
+            found.append(dfs(cfg0, scenario, ExploreBounds(), [], module._new_stats(10**6), set(),
+                             {}))
         assert found[0] is not None and found[0][0] == field
         assert found[0] == found[1]
 

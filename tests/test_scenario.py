@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from consensuslab.cases import all_cases
 from consensuslab.errors import ConfigError
-from consensuslab.scenario import Scenario
+from consensuslab.protocol import MsgKind
+from consensuslab.scenario import Scenario, SchedulerSpec, default_values
 
 JSON = st.recursive(
     st.none()
@@ -92,3 +94,22 @@ def test_from_dict_gives_a_valid_scenario_or_config_error(d):
 def test_from_dict_rejects_ill_typed_sections(field, value, message):
     with pytest.raises(ConfigError, match=message):
         Scenario.from_dict({"n": 5, field: value})
+
+
+def test_case_scripts_validate_unchanged():
+    # Every scripted reference scenario passes the script checks and keeps
+    # its script through a JSON round trip.
+    for case in all_cases():
+        scenario = case.scenario()
+        scenario.validate()
+        again = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
+        assert again.scheduler.script == scenario.scheduler.script
+
+
+def test_msgkind_script_items_survive_a_round_trip():
+    item = ("deliver", 0, MsgKind.INITIAL, 1)
+    scenario = Scenario(n=5, values=tuple(default_values(5)),
+                        scheduler=SchedulerSpec(type="scripted", script=(item,)))
+    scenario.validate()
+    again = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
+    assert again.scheduler.script == (("deliver", 0, "initial", 1),)
