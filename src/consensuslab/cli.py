@@ -13,7 +13,7 @@ import sys
 from . import __version__
 from .binary import commutativity_check
 from .cases import run_case_suite
-from .errors import ConsensusLabError
+from .errors import ConfigError, ConsensusLabError
 from .explore import ExploreBounds, explore, fuzz
 from .properties import check_properties
 from .scenario import Scenario
@@ -147,7 +147,7 @@ def _cmd_replay(args) -> int:
             f"{trace.verdict.config_hash}"
         )
         out.flush()
-        return EXIT_USAGE
+        raise ConfigError("trace does not replay to its recorded configuration hash")
     report = check_properties(trace)
     _verdict_lines(out, again)
     out.line(f"replay ok: configuration hash {again.verdict.config_hash} reproduced")

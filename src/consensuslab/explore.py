@@ -25,7 +25,6 @@ from .properties import (
 )
 from .protocol import MsgKind, Rules
 from .scenario import Scenario, bit_values, crash_grid
-from .schedulers import ScriptedScheduler
 from .simulation import (
     Deliver,
     apply_deliver,
@@ -283,9 +282,8 @@ def _new_stats(budget: int) -> dict:
 def _explore_chunk(args, steps: Optional[dict] = None) -> dict:
     """Search the roots ``first_keys`` with the search's step memo
     ``steps``; a pool job, which gets none, builds its own."""
-    scenario_dict, bounds, first_keys, budget = args
+    base, bounds, first_keys, budget = args
     steps = {} if steps is None else steps
-    base = Scenario.from_dict(scenario_dict)
     cfg0, _ = new_configuration(
         base.n, list(base.values), crash=base.crash, rules=base.rules,
         final_quorum=base.final_quorum,
@@ -364,7 +362,7 @@ def explore(
     groups = [root_keys[i::chunks] for i in range(chunks)]
     groups = [g for g in groups if g]
     budget = max(1, bounds.max_configs // len(groups))
-    jobs = [(scenario.to_dict(), bounds, g, budget) for g in groups]
+    jobs = [(scenario, bounds, g, budget) for g in groups]
     if workers <= 1:
         results = [_explore_chunk(job, steps) for job in jobs]
     else:
@@ -552,9 +550,7 @@ def minimize(trace: Trace, max_replays: int = 4000) -> Trace:
         replays += 1
         scenario = scripted(trace.scenario, candidate)
         try:
-            cfg, _, status = run_raw(
-                scenario, scheduler=ScriptedScheduler(list(scenario.scheduler.script))
-            )
+            cfg, _, status = run_raw(scenario)
         except ConsensusLabError:
             return False  # deletion broke causality; not a valid shrink
         rep = report_for_config(cfg, list(scenario.values), status)

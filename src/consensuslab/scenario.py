@@ -26,6 +26,8 @@ from .simulation import CrashSpec, CrashPoint
 DEFAULT_MAX_EVENTS = 10_000
 MAX_PROCESSES = 255  # encode_vector stores a vector's width in one byte
 SCHEDULER_TYPES = ("seeded-random", "adversarial-lifo", "scripted")
+SCHEDULER_KEYS = ("type", "seed", "fairness_bound", "starve", "script", "drain_rest")
+CRASH_KEYS = ("victim", "point", "kind", "delivered_to")
 
 
 def default_values(n: int) -> list:
@@ -43,11 +45,15 @@ def _check_n(n: int) -> None:
         raise ConfigError(f"field n: must be in [{MIN_PROCESSES}, {MAX_PROCESSES}], got {n}")
 
 
-def _section(d: dict, name: str) -> dict:
-    """The JSON object under ``name``; an absent one is empty."""
+def _section(d: dict, name: str, keys) -> dict:
+    """The JSON object under ``name``, whose keys must be among ``keys``;
+    an absent one is empty."""
     section = d.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"field {name}: must be an object, got {section!r}")
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"field {name}.{key}: unknown key")
     return section
 
 
@@ -56,12 +62,8 @@ def _script_item_error(item, n: int) -> Optional[str]:
     if not isinstance(item, (list, tuple)) or not item:
         return "must be a non-empty list"
     tag = item[0]
-    if tag == "empty":
-        if len(item) == 2 and type(item[1]) is int and 0 <= item[1] < n:
-            return None
-        return 'must be ["empty", dest] with dest in [0, n)'
     if tag != "deliver" and tag != "deliver_seq":
-        return 'must start with "deliver", "deliver_seq" or "empty"'
+        return 'must start with "deliver" or "deliver_seq"'
     if len(item) != 4:
         middle = "seq" if tag == "deliver_seq" else "kind"
         return f"must have 4 entries: {tag}, sender, {middle}, dest"
@@ -88,8 +90,6 @@ class SchedulerSpec:
     seed: int = 0
     fairness_bound: int = 64
     starve: Optional[int] = None
-    empty_probability: float = 0.0
-    empty_limit: int = 0
     script: tuple = ()
     drain_rest: bool = False
 
@@ -97,9 +97,6 @@ class SchedulerSpec:
         d = {"type": self.type, "seed": self.seed, "fairness_bound": self.fairness_bound}
         if self.starve is not None:
             d["starve"] = self.starve
-        if self.empty_probability:
-            d["empty_probability"] = self.empty_probability
-            d["empty_limit"] = self.empty_limit
         if self.type == "scripted":
             d["script"] = [
                 [KIND_NAMES[x] if isinstance(x, MsgKind) else x for x in item]
@@ -149,11 +146,6 @@ class Scenario:
                 f"field scheduler.fairness_bound: must be a non-negative integer, "
                 f"got {sched.fairness_bound!r}"
             )
-        if not 0.0 <= sched.empty_probability <= 1.0:
-            raise ConfigError(
-                f"field scheduler.empty_probability: must be in [0, 1], "
-                f"got {sched.empty_probability!r}"
-            )
         if sched.starve is not None and (
             type(sched.starve) is not int or not 0 <= sched.starve < self.n
         ):
@@ -192,10 +184,10 @@ class Scenario:
                 if raw_values is None
                 else tuple(bytes.fromhex(v) for v in raw_values)
             )
-            crash = d.get("crash")
-            sched = _section(d, "scheduler")
-            bounds = _section(d, "bounds")
-            rules = _section(d, "rules")
+            crash = None if d.get("crash") is None else _section(d, "crash", CRASH_KEYS)
+            sched = _section(d, "scheduler", SCHEDULER_KEYS)
+            bounds = _section(d, "bounds", ("max_events",))
+            rules = _section(d, "rules", Rules().to_dict())
             script = sched.get("script", [])
             if not isinstance(script, list) or not all(isinstance(i, list) for i in script):
                 raise ConfigError(f"field scheduler.script: must be a list of lists, got {script!r}")
@@ -208,8 +200,6 @@ class Scenario:
                     seed=int(sched.get("seed", 0)),
                     fairness_bound=int(sched.get("fairness_bound", 64)),
                     starve=sched.get("starve"),
-                    empty_probability=float(sched.get("empty_probability", 0.0)),
-                    empty_limit=int(sched.get("empty_limit", 0)),
                     script=tuple(tuple(item) for item in script),
                     drain_rest=_flag(sched, "scheduler", "drain_rest", False),
                 ),

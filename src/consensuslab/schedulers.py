@@ -22,7 +22,8 @@ from typing import Optional
 
 from .errors import SimulatorBug
 from .protocol import MsgKind
-from .simulation import Configuration, ReceiveEmpty
+from .scenario import SchedulerSpec
+from .simulation import Configuration
 
 DEFAULT_FAIRNESS_BOUND = 64
 
@@ -40,9 +41,10 @@ class ScriptedScheduler:
     """Replays a fixed list of events.
 
     Script items are ``("deliver", sender, kind, dest)`` (kind as MsgKind or
-    its lowercase name), ``("deliver_seq", sender, seq, dest)`` for replayed
-    traces, or ``("empty", dest)``.  A script item that matches no enabled
-    event is a hard error: the script is wrong, not the simulator.
+    its lowercase name) or ``("deliver_seq", sender, seq, dest)`` for
+    replayed traces.  A script item that matches no enabled event, or is
+    left when nothing is enabled, is a hard error: the script is wrong, not
+    the simulator.
 
     With ``drain_rest`` the scheduler keeps delivering leftover entries in
     send order after the script is exhausted, so scripted scenarios end
@@ -64,8 +66,6 @@ class ScriptedScheduler:
         item = self.script[self.pos]
         self.pos += 1
         tag = item[0]
-        if tag == "empty":
-            return ReceiveEmpty(int(item[1]))
         if tag == "deliver":
             _, sender, kind, dest = item
             if isinstance(kind, str):
@@ -102,17 +102,9 @@ class SeededRandomScheduler:
 
     name = "seeded-random"
 
-    def __init__(
-        self,
-        seed: int,
-        fairness_bound: int = DEFAULT_FAIRNESS_BOUND,
-        empty_probability: float = 0.0,
-        empty_limit: int = 0,
-    ):
+    def __init__(self, seed: int, fairness_bound: int = DEFAULT_FAIRNESS_BOUND):
         self.seed = seed
         self.fairness_bound = fairness_bound
-        self.empty_probability = empty_probability
-        self.empty_limit = empty_limit
         self.rng = random.Random(seed)
         self.marks = deque(maxlen=fairness_bound + 2)
 
@@ -121,16 +113,6 @@ class SeededRandomScheduler:
             return None
         if _overdue(self.marks, cfg, delivers):
             return delivers[0]
-        if self.empty_probability > 0.0 and self.rng.random() < self.empty_probability:
-            dests = sorted(
-                {
-                    e.message.dest
-                    for e in delivers
-                    if cfg.empties_used.get(e.message.dest, 0) < self.empty_limit
-                }
-            )
-            if dests:
-                return ReceiveEmpty(self.rng.choice(dests))
         return delivers[self.rng.randrange(len(delivers))]
 
 
@@ -157,21 +139,12 @@ class AdversarialLifoScheduler:
         return next((e for e in reversed(delivers) if e.message.sender != self.starve), delivers[-1])
 
 
-def scheduler_from_spec(spec: dict):
-    """Build a scheduler from its descriptor (the header's ``scheduler`` field)."""
-    kind = spec.get("type", "seeded-random")
-    if kind == "seeded-random":
-        return SeededRandomScheduler(
-            seed=int(spec.get("seed", 0)),
-            fairness_bound=int(spec.get("fairness_bound", DEFAULT_FAIRNESS_BOUND)),
-            empty_probability=float(spec.get("empty_probability", 0.0)),
-            empty_limit=int(spec.get("empty_limit", 0)),
-        )
-    if kind == "adversarial-lifo":
-        return AdversarialLifoScheduler(
-            starve=spec.get("starve"),
-            fairness_bound=int(spec.get("fairness_bound", DEFAULT_FAIRNESS_BOUND)),
-        )
-    if kind == "scripted":
-        return ScriptedScheduler(spec.get("script", []), drain_rest=bool(spec.get("drain_rest")))
-    raise SimulatorBug(f"unknown scheduler type {kind!r}")
+def scheduler_from_spec(spec: SchedulerSpec):
+    """Build the scheduler a validated scenario's ``scheduler`` field describes."""
+    if spec.type == "seeded-random":
+        return SeededRandomScheduler(spec.seed, spec.fairness_bound)
+    if spec.type == "adversarial-lifo":
+        return AdversarialLifoScheduler(spec.starve, spec.fairness_bound)
+    if spec.type == "scripted":
+        return ScriptedScheduler(spec.script, spec.drain_rest)
+    raise SimulatorBug(f"unknown scheduler type {spec.type!r}")

@@ -1,10 +1,12 @@
 """Executable model of the asynchronous message system.
 
 The message buffer is a multiset of sent-but-undelivered messages; a run
-repeatedly lets a scheduler pick one deliverable entry (or an empty
-receive, when enabled) and applies it atomically: the destination releases
-whatever the sequencing rule allows, processes it, and all resulting
-broadcasts are appended to the buffer before the next pick.
+repeatedly lets a scheduler pick one deliverable entry and applies it
+atomically: the destination releases whatever the sequencing rule allows,
+processes it, and all resulting broadcasts are appended to the buffer
+before the next pick.  A delivery is the only kind of step: FLP's receive
+of the null message changes no state of this protocol, so it could never
+change a verdict, only spend the event bound.
 
 At most one process may crash.  The crash is anchored to the victim's own
 broadcast sequence: before / during / after broadcasting a given message
@@ -119,14 +121,6 @@ class Deliver:
 
 
 @dataclass(frozen=True)
-class ReceiveEmpty:
-    dest: int
-
-    def to_dict(self) -> dict:
-        return {"type": "receive_empty", "dest": self.dest}
-
-
-@dataclass(frozen=True)
 class CrashBite:
     """Marks the step at which the configured crash took effect."""
 
@@ -147,8 +141,6 @@ def event_from_dict(d: dict):
     t = d["type"]
     if t == "deliver":
         return Deliver(int(d["sender"]), int(d["seq"]), int(d["dest"]), KIND_BY_NAME[d["kind"]])
-    if t == "receive_empty":
-        return ReceiveEmpty(int(d["dest"]))
     if t == "crash":
         return CrashBite(int(d["victim"]), CrashPoint(d["point"]), KIND_BY_NAME[d["kind"]])
     raise ConfigError(f"unknown trace event type {t!r}")
@@ -171,7 +163,6 @@ class Configuration:
     crashed: Optional[int] = None
     crash_pending: Optional[CrashSpec] = None
     event_count: int = 0
-    empties_used: dict = field(default_factory=dict)
     shared: bool = False  # processes are shared with another configuration
     # Lazy digests for dedupe_digest, kept up to date once it has run: an
     # order-independent multiset digest of the buffer and the sum of the
@@ -196,7 +187,6 @@ class Configuration:
             crashed=self.crashed,
             crash_pending=self.crash_pending,
             event_count=self.event_count,
-            empties_used=dict(self.empties_used),
             shared=True,
             buf_acc=self.buf_acc,
             proc_acc=self.proc_acc,
@@ -436,12 +426,3 @@ def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
     cfg.event_count += 1
     return events
 
-
-def apply_receive_empty(cfg: Configuration, dest: int) -> None:
-    """An empty receive: observationally a no-op on process state."""
-    if not 0 <= dest < cfg.n:
-        raise SimulatorBug(f"empty receive at P{dest}, which does not exist")
-    if dest == cfg.crashed:
-        raise SimulatorBug("empty receive at a crashed process")
-    cfg.empties_used[dest] = cfg.empties_used.get(dest, 0) + 1
-    cfg.event_count += 1

@@ -19,11 +19,8 @@ from .scenario import Scenario, SchedulerSpec
 from .schedulers import ScriptedScheduler, scheduler_from_spec
 from .simulation import (
     Configuration,
-    CrashBite,
     Deliver,
-    ReceiveEmpty,
     apply_deliver,
-    apply_receive_empty,
     enabled_deliveries,
     event_from_dict,
     new_configuration,
@@ -32,7 +29,7 @@ from .simulation import (
 # Run end states: every live process decided and the buffer drained
 # ("complete"), no deliverable entry left with someone undecided
 # ("stuck"), the event budget was hit ("bound"), or a finite script ran
-# out ("script_end").
+# out with deliverable entries left ("script_end").
 STATUS_COMPLETE = "complete"
 STATUS_STUCK = "stuck"
 STATUS_BOUND = "bound"
@@ -153,11 +150,12 @@ def run_raw(scenario: Scenario, scheduler=None, record_events: bool = True) -> t
     The loop keeps delivering after everyone decided until no deliverable
     entry remains, because a decided process may still owe a second
     proposal to a slower peer; only entries addressed to a crashed process
-    may be left over.
+    may be left over.  The scheduler is asked for a step even when nothing
+    is enabled, so a script with items left then is an error.
     """
     scenario.validate()
     if scheduler is None:
-        scheduler = scheduler_from_spec(scenario.scheduler.to_dict())
+        scheduler = scheduler_from_spec(scenario.scheduler)
     cfg, start_events = new_configuration(
         scenario.n,
         list(scenario.values),
@@ -166,30 +164,19 @@ def run_raw(scenario: Scenario, scheduler=None, record_events: bool = True) -> t
         final_quorum=scenario.final_quorum,
     )
     events = list(start_events) if record_events else []
-    status = None
-    while True:
-        if cfg.event_count >= scenario.max_events:
-            status = STATUS_BOUND
-            break
+    while cfg.event_count < scenario.max_events:
         delivers = enabled_deliveries(cfg)
-        if not delivers:
-            status = STATUS_COMPLETE if cfg.all_alive_decided() else STATUS_STUCK
-            break
         choice = scheduler.next(cfg, delivers)
         if choice is None:
-            status = STATUS_SCRIPT_END
-            break
-        if isinstance(choice, ReceiveEmpty):
-            apply_receive_empty(cfg, choice.dest)
-            if record_events:
-                events.append(choice)
-            continue
+            if delivers:
+                return cfg, events, STATUS_SCRIPT_END
+            return cfg, events, STATUS_COMPLETE if cfg.all_alive_decided() else STATUS_STUCK
         m = choice.message
         bites = apply_deliver(cfg, choice)
         if record_events:
             events.append(Deliver(m.sender, m.seq, m.dest, m.kind))
             events.extend(bites)
-    return cfg, events, status
+    return cfg, events, STATUS_BOUND
 
 
 def run(scenario: Scenario, scheduler=None, record_events: bool = True) -> Trace:
@@ -199,61 +186,40 @@ def run(scenario: Scenario, scheduler=None, record_events: bool = True) -> Trace
 
 
 def run_config(trace_scenario: Scenario, events: list) -> Configuration:
-    """Re-apply a recorded event list and return the final configuration."""
-    cfg, _ = new_configuration(
-        trace_scenario.n,
-        list(trace_scenario.values),
-        crash=trace_scenario.crash,
-        rules=trace_scenario.rules,
-        final_quorum=trace_scenario.final_quorum,
-    )
-    for ev in events:
-        if isinstance(ev, CrashBite):
-            continue  # informational; re-triggered by the deliveries themselves
-        if isinstance(ev, ReceiveEmpty):
-            apply_receive_empty(cfg, ev.dest)
-            continue
-        matches = [
-            e
-            for e in enabled_deliveries(cfg)
-            if e.message.sender == ev.sender
-            and e.message.seq == ev.seq
-            and e.message.dest == ev.dest
-        ]
-        if len(matches) != 1:
-            raise SimulatorBug(f"replayed event {ev} matched {len(matches)} enabled entries")
-        apply_deliver(cfg, matches[0])
-    return cfg
+    """Re-apply a recorded event list and return the final configuration
+    (the run ``replay`` makes, with its errors)."""
+    return _run_script(trace_scenario, events)[1]
 
 
 def scripted(base: Scenario, events: list) -> Scenario:
-    """``base`` with a scripted scheduler that replays the deliveries and
-    empty receives of ``events`` (crash events re-trigger by themselves)."""
+    """``base`` with a scripted scheduler that replays the deliveries of
+    ``events`` (crash events re-trigger by themselves)."""
     script = tuple(
-        ("deliver_seq", ev.sender, ev.seq, ev.dest) if isinstance(ev, Deliver) else ("empty", ev.dest)
-        for ev in events
-        if isinstance(ev, (Deliver, ReceiveEmpty))
+        ("deliver_seq", ev.sender, ev.seq, ev.dest) for ev in events if isinstance(ev, Deliver)
     )
     return replace(base, scheduler=SchedulerSpec(type="scripted", script=script))
 
 
-def replay(trace: Trace) -> Trace:
-    """Re-run a trace's schedule from its header; the result must match it.
-
+def _run_script(base: Scenario, events: list) -> tuple:
+    """Run ``scripted(base, events)``; return it and ``run_raw``'s result.
     An event that the run cannot apply (a hand-edited trace) is a
-    ``ConfigError`` naming the event.
-    """
-    scenario = scripted(trace.scenario, trace.events)
+    ``ConfigError`` naming the event."""
+    scenario = scripted(base, events)
     scheduler = ScriptedScheduler(scenario.scheduler.script)
     try:
-        return run(scenario, scheduler=scheduler)
+        return (scenario, *run_raw(scenario, scheduler=scheduler))
     except SimulatorBug as exc:
-        steps = [i for i, ev in enumerate(trace.events) if isinstance(ev, (Deliver, ReceiveEmpty))]
-        i = steps[scheduler.pos - 1]
+        i = [i for i, ev in enumerate(events) if isinstance(ev, Deliver)][scheduler.pos - 1]
         raise ConfigError(
-            f"trace event {i} {json.dumps(trace.events[i].to_dict(), sort_keys=True)} "
+            f"trace event {i} {json.dumps(events[i].to_dict(), sort_keys=True)} "
             f"cannot be replayed: {exc}"
         ) from exc
+
+
+def replay(trace: Trace) -> Trace:
+    """Re-run a trace's schedule from its header; the result must match it."""
+    scenario, cfg, events, status = _run_script(trace.scenario, trace.events)
+    return Trace(scenario=scenario, events=events, verdict=Verdict.from_config(cfg, status))
 
 
 def replays_identically(trace: Trace) -> bool:

@@ -1,15 +1,21 @@
 """Command surface: exit codes, determinism, artifact files."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_scenario import scenarios
+from test_trace_files import edited_trace
 
 from consensuslab.cli import main
-from consensuslab.errors import ConfigError, SimulatorBug
+from consensuslab.errors import ConfigError
 from consensuslab.findings import racing_scenario
+from consensuslab.properties import check_properties
 from consensuslab.scenario import Scenario, SchedulerSpec, default_values
-from consensuslab.simulation import apply_receive_empty, new_configuration
-from consensuslab.trace import Trace, run
+from consensuslab.trace import Trace, replay, replays_identically, run
 
 
 @pytest.fixture
@@ -173,6 +179,15 @@ def _unmatched_event(lines):
     return lines[:1] + [json.dumps(event)] + lines[2:]
 
 
+def _copied_first_delivery(lines):
+    # The copy comes after the last delivery, when nothing is enabled.
+    return lines[:-1] + lines[1:2] + lines[-1:]
+
+
+def _receive_empty(lines):
+    return lines[:2] + [json.dumps({"type": "receive_empty", "dest": 0})] + lines[2:]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -180,8 +195,11 @@ def _unmatched_event(lines):
         (_no_config_hash, "config_hash"),
         (_truncated_decision, "truncated vector"),
         (_unmatched_event, 'trace event 0 {"dest": '),
+        (_copied_first_delivery, "matched 0 enabled events"),
+        (_receive_empty, "unknown trace event type 'receive_empty'"),
     ],
-    ids=["non-json-line", "no-config-hash", "truncated-vector", "unmatched-event"],
+    ids=["non-json-line", "no-config-hash", "truncated-vector", "unmatched-event",
+         "copied-delivery", "receive-empty-record"],
 )
 def test_replay_rejects_malformed_traces(tmp_path, capsys, edit, message):
     path = tmp_path / "broken.jsonl"
@@ -216,8 +234,8 @@ def test_run_rejects_bad_final_quorum_and_n(tmp_path, capsys, field, value):
         ({"type": "scripted", "script": [["deliver", 0, 1, 1]]}, "field scheduler.script[0]"),
         ({"type": "scripted", "script": [["deliver", True, "initial", 1]]},
          "field scheduler.script[0]"),
-        ({"type": "scripted", "script": [["empty", "x"]]}, "field scheduler.script[0]"),
-        ({"type": "scripted", "script": [["deliver", 0, "initial", 1], ["empty", -1]]},
+        ({"type": "scripted", "script": [["empty", 0]]}, "field scheduler.script[0]"),
+        ({"type": "scripted", "script": [["deliver", 0, "initial", 1], ["empty", 0]]},
          "field scheduler.script[1]"),
         ({"type": "scripted", "script": [["deliver_seq", 0, 0, 5]]}, "field scheduler.script[0]"),
         ({"type": "scripted", "script": [["deliver_seq", 0, -1, 1]]},
@@ -235,15 +253,42 @@ def test_run_rejects_bad_scheduler_type_and_script(tmp_path, capsys, scheduler, 
         Scenario.from_dict({"n": 5, "scheduler": scheduler})
 
 
-def test_empty_receive_at_a_missing_process_is_rejected(tmp_path, capsys):
-    lines = _seeded_trace_records()
-    edited = lines[:2] + [json.dumps({"type": "receive_empty", "dest": 99})] + lines[2:]
-    path = tmp_path / "edited.jsonl"
-    path.write_text("\n".join(edited) + "\n")
-    assert main(["replay", str(path)]) == 1
-    assert "scheduler.script[1]" in capsys.readouterr().err
-    cfg, _ = new_configuration(5, default_values(5))
-    for dest in (99, -1, 5):
-        with pytest.raises(SimulatorBug, match="does not exist"):
-            apply_receive_empty(cfg, dest)
-    assert cfg.event_count == 0 and not cfg.empties_used
+def test_a_copied_delivery_is_rejected_by_every_replay():
+    # Replay, the identity check and the property check share one run
+    # loop, so they reject the same trace with the same error.
+    lines = _copied_first_delivery(_seeded_trace_records())
+    trace = Trace.from_jsonl("\n".join(lines) + "\n")
+    last = len(trace.events) - 1
+    for check in (replay, replays_identically, check_properties):
+        with pytest.raises(ConfigError, match=f"trace event {last} .*matched 0 enabled events"):
+            check(trace)
+
+
+def _main_reports(argv) -> int:
+    """Run the command line; it must exit 0, 2 or 3, or 1 with an error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3) or (code == 1 and "error: " in err.getvalue()), (code, err.getvalue())
+    return code
+
+
+# Scenario files of at most 6 processes (n=256 is rejected), so every run is
+# small; half of them hold only plausible values, so that many runs start.
+SMALL_SCENARIO = st.builds(
+    lambda n, d: {**d, "n": n},
+    st.sampled_from([4, 5, 6, 256]),
+    scenarios(st.nothing()) | scenarios(st.nothing(), junk=st.nothing()),
+)
+
+
+@given(SMALL_SCENARIO, edited_trace())
+@settings(max_examples=200, deadline=None)
+def test_any_input_file_exits_with_a_verdict_or_an_error_line(tmp_path_factory, d, trace_text):
+    tmp = tmp_path_factory.mktemp("inputs")
+    scenario, trace = tmp / "scenario.json", tmp / "trace.jsonl"
+    scenario.write_text(json.dumps(d))
+    trace.write_text(trace_text)
+    for argv in (["run"], ["explore", "--max-configs", "200"], ["fuzz", "--seeds", "3"]):
+        _main_reports([argv[0], str(scenario), *argv[1:]])
+    _main_reports(["replay", str(trace)])

@@ -22,44 +22,48 @@ JSON = st.recursive(
 )
 
 
-def _object(fields: dict):
-    """JSON objects holding any subset of ``fields``, each with a value drawn
-    from its plausible values or from arbitrary JSON."""
-    return st.fixed_dictionaries(
-        {}, optional={name: st.sampled_from(plausible) | JSON for name, plausible in fields.items()}
-    )
-
-
-RULES = _object({name: [True, False] for name in (
-    "ordered_delivery", "fill_on_gap_mismatch", "fill_on_second", "adopt_full_vector", "x")})
-SCHEDULER = _object({
+# Plausible values of each section's keys; "x" is an unknown key.
+RULES = {name: [True, False] for name in (
+    "ordered_delivery", "fill_on_gap_mismatch", "fill_on_second", "adopt_full_vector")}
+SCHEDULER = {
     "type": ["seeded-random", "adversarial-lifo", "scripted"],
     "seed": [0, 7],
     "fairness_bound": [0, 64],
     "starve": [None, 0, 4],
-    "empty_probability": [0.0, 0.5],
-    "empty_limit": [0, 2],
-    "script": [[], [["deliver", 0, "initial", 1]], [["empty", 2]]],
+    "script": [[], [["deliver", 0, "initial", 1]], [["deliver_seq", 1, 0, 2]]],
     "drain_rest": [True, False],
-})
-CRASH = _object({
+}
+CRASH = {
     "victim": [0, 4],
     "point": ["before", "during", "after"],
     "kind": ["initial", "first", "second", "final"],
     "delivered_to": [None, [0], [1, 2], [0, 1, 2, 3]],
-})
-SCENARIO = st.fixed_dictionaries(
-    {},
-    optional={
-        "n": st.sampled_from([5, 6, 4, 256]) | JSON,
-        "initial_values": st.sampled_from([None, ["01", "02", "03", "04", "05"], ["0a"] * 6]) | JSON,
-        "crash": st.none() | CRASH | JSON,
-        "scheduler": SCHEDULER | JSON,
-        "bounds": _object({"max_events": [1, 10_000, 0]}) | JSON,
-        "rules": RULES | JSON,
-        "final_quorum": st.sampled_from([None, 1, 3, 4]) | JSON,
-    },
-)
+}
+BOUNDS = {"max_events": [1, 10_000, 0]}
+
+
+def scenarios(n, junk=JSON):
+    """Scenario objects holding any subset of the fields, with n drawn from
+    ``n`` or ``junk``.  Each other field, and each key of a section, takes
+    one of its plausible values or a value drawn from ``junk``; a section
+    holds the unknown key "x" only with a value drawn from ``junk``."""
+
+    def section(fields: dict):
+        keys = {name: st.sampled_from(plausible) | junk for name, plausible in fields.items()}
+        return st.fixed_dictionaries({}, optional={**keys, "x": junk})
+
+    return st.fixed_dictionaries({}, optional={
+        "n": n | junk,
+        "initial_values": st.sampled_from([None, ["01", "02", "03", "04", "05"], ["0a"] * 6]) | junk,
+        "crash": st.none() | section(CRASH) | junk,
+        "scheduler": section(SCHEDULER) | junk,
+        "bounds": section(BOUNDS) | junk,
+        "rules": section(RULES) | junk,
+        "final_quorum": st.sampled_from([None, 1, 3, 4]) | junk,
+    })
+
+
+SCENARIO = scenarios(st.sampled_from([5, 6, 4, 256]))
 
 
 @given(SCENARIO)
@@ -87,8 +91,13 @@ def test_from_dict_gives_a_valid_scenario_or_config_error(d):
         ("crash", {"victim": 4, "point": "during", "kind": "first", "delivered_to": "01"},
          "delivered_to"),
         ("initial_values", "0102030405", "field initial_values"),
-        ("scheduler", {"empty_probability": 2}, "field scheduler.empty_probability"),
-        ("scheduler", {"empty_probability": "nan"}, "field scheduler.empty_probability"),
+        ("scheduler", {"empty_probability": 0.5}, "field scheduler.empty_probability"),
+        ("scheduler", {"empty_probability": 0.0}, "field scheduler.empty_probability"),
+        ("scheduler", {"fairnes_bound": 0}, "field scheduler.fairnes_bound: unknown key"),
+        ("bounds", {"max_event": 3}, "field bounds.max_event: unknown key"),
+        ("crash", {"victim": 4, "point": "after", "kind": "first", "dest": 0},
+         "field crash.dest: unknown key"),
+        ("rules", {"ordered": False}, "field rules.ordered: unknown key"),
     ],
 )
 def test_from_dict_rejects_ill_typed_sections(field, value, message):

@@ -7,7 +7,7 @@ from consensuslab.errors import SimulatorBug
 from consensuslab.protocol import MsgKind, gap_indices
 from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
 from consensuslab.schedulers import AdversarialLifoScheduler, SeededRandomScheduler
-from consensuslab.simulation import CrashPoint, CrashSpec, ReceiveEmpty
+from consensuslab.simulation import CrashPoint, CrashSpec
 from consensuslab.trace import run
 
 VALUES = default_values(5)
@@ -115,16 +115,6 @@ class _ScanSeededRandom(SeededRandomScheduler):
         overdue = self.scan.overdue(delivers)
         if overdue is not None:
             return overdue
-        if self.empty_probability > 0.0 and self.rng.random() < self.empty_probability:
-            dests = sorted(
-                {
-                    e.message.dest
-                    for e in delivers
-                    if cfg.empties_used.get(e.message.dest, 0) < self.empty_limit
-                }
-            )
-            if dests:
-                return ReceiveEmpty(self.rng.choice(dests))
         return delivers[self.rng.randrange(len(delivers))]
 
 
@@ -145,12 +135,7 @@ class _ScanAdversarialLifo(AdversarialLifoScheduler):
 
 def _scan_oracle(spec: SchedulerSpec):
     if spec.type == "seeded-random":
-        return _ScanSeededRandom(
-            seed=spec.seed,
-            fairness_bound=spec.fairness_bound,
-            empty_probability=spec.empty_probability,
-            empty_limit=spec.empty_limit,
-        )
+        return _ScanSeededRandom(seed=spec.seed, fairness_bound=spec.fairness_bound)
     return _ScanAdversarialLifo(starve=spec.starve, fairness_bound=spec.fairness_bound)
 
 
@@ -171,13 +156,6 @@ def _differential_cells(n):
 def test_watermark_guard_matches_the_scan_oracle(n, fairness_bound):
     specs = [
         SchedulerSpec(type="seeded-random", seed=7, fairness_bound=fairness_bound),
-        SchedulerSpec(
-            type="seeded-random",
-            seed=8,
-            fairness_bound=fairness_bound,
-            empty_probability=0.2,
-            empty_limit=3,
-        ),
         SchedulerSpec(type="adversarial-lifo", fairness_bound=fairness_bound),
         SchedulerSpec(type="adversarial-lifo", fairness_bound=fairness_bound, starve=1),
     ]

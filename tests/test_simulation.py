@@ -18,7 +18,6 @@ from consensuslab.simulation import (
     Deliver,
     _entry_digest,
     apply_deliver,
-    apply_receive_empty,
     apply_step,
     enabled_deliveries,
     memo_step,
@@ -291,34 +290,3 @@ class TestCanonicalHashing:
         child = cfg.clone()
         apply_deliver(child, next(iter(child.buffer.values())))
         assert cfg.dedupe_digest() != child.dedupe_digest()
-
-
-class TestReceiveEmpty:
-    def test_empty_receive_changes_no_state(self):
-        cfg, _ = new_configuration(5, VALUES)
-        before = cfg.canonical_bytes()
-        apply_receive_empty(cfg, 0)
-        assert cfg.canonical_bytes() == before  # event count excluded by design
-        assert cfg.event_count == 1
-
-    def test_runs_with_empties_still_complete_and_replay(self):
-        # The claim behind excluding empty receives from exploration: they
-        # are observationally inert.  A run that interleaves finitely many
-        # of them still completes, and replays bit-exactly with them in
-        # the event list.
-        with_empties = run(
-            Scenario(
-                n=5,
-                values=tuple(VALUES),
-                scheduler=SchedulerSpec(
-                    type="seeded-random",
-                    seed=23,
-                    fairness_bound=64,
-                    empty_probability=0.2,
-                    empty_limit=6,
-                ),
-            )
-        )
-        assert with_empties.verdict.status == "complete"
-        assert any(ev.to_dict()["type"] == "receive_empty" for ev in with_empties.events)
-        assert replays_identically(with_empties)

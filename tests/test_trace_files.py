@@ -2,20 +2,21 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensuslab.errors import ConfigError
 from consensuslab.explore import MUTANTS
 from consensuslab.findings import racing_scenario
+from consensuslab.properties import check_properties
 from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
 from consensuslab.trace import Trace, replay, replays_identically, run
 
 
 def _traces():
     base = Scenario(n=5, values=tuple(default_values(5)),
-                    scheduler=SchedulerSpec(type="seeded-random", seed=3, empty_probability=0.2,
-                                            empty_limit=2))
+                    scheduler=SchedulerSpec(type="seeded-random", seed=3))
     cells = crash_grid(5)
     scenarios = [base, racing_scenario(), base.with_crash(cells[7]), base.with_crash(cells[1]),
                  base.with_crash(cells[58]).with_seed(9)]
@@ -68,11 +69,24 @@ def edited_trace(draw):
 @given(edited_trace())
 @settings(max_examples=300, deadline=None)
 def test_edited_trace_replays_or_is_a_config_error(text):
+    # check_properties replays the same way, so it rejects the same traces,
+    # and also every trace whose replay misses the recorded hash.
     try:
-        again = replay(Trace.from_jsonl(text))
+        trace = Trace.from_jsonl(text)
     except ConfigError:
         return
+    try:
+        again = replay(trace)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            check_properties(trace)
+        return
     assert isinstance(again, Trace)
+    if again.verdict.config_hash == trace.verdict.config_hash:
+        check_properties(trace)
+    else:
+        with pytest.raises(ConfigError, match="recorded configuration hash"):
+            check_properties(trace)
 
 
 def test_unedited_traces_replay():
