@@ -66,7 +66,8 @@ def _verdict_lines(out: _Out, trace: Trace) -> None:
         entry = outcome_label(v.entered[pid]) or "-"
         out.line(f"  P{pid}: decided={mark} entered={entry}")
     if v.undelivered:
-        out.line(f"  undelivered (to the crashed process): {len(v.undelivered)} messages")
+        to = " (to the crashed process)" if v.crashed is not None else ""
+        out.line(f"  undelivered{to}: {len(v.undelivered)} messages")
 
 
 def _cmd_run(args) -> int:
@@ -141,13 +142,15 @@ def _cmd_replay(args) -> int:
     trace = Trace.load(args.trace)
     again = replay(trace)
     out = _Out(args.report)
-    if again.verdict.config_hash != trace.verdict.config_hash:
-        out.line(
-            f"REPLAY DIVERGED: {again.verdict.config_hash} != recorded "
-            f"{trace.verdict.config_hash}"
-        )
+    recorded, replayed = trace.verdict.to_dict(), again.verdict.to_dict()
+    diverged = [k for k in replayed if replayed[k] != recorded[k]]
+    if diverged:
+        for k in diverged:
+            out.line(f"REPLAY DIVERGED: {k} {replayed[k]!r} != recorded {recorded[k]!r}")
         out.flush()
-        raise ConfigError("trace does not replay to its recorded configuration hash")
+        raise ConfigError(
+            f"trace does not replay to its recorded verdict ({', '.join(diverged)} differ)"
+        )
     report = check_properties(trace)
     _verdict_lines(out, again)
     out.line(f"replay ok: configuration hash {again.verdict.config_hash} reproduced")

@@ -550,7 +550,7 @@ def minimize(trace: Trace, max_replays: int = 4000) -> Trace:
         replays += 1
         scenario = scripted(trace.scenario, candidate)
         try:
-            cfg, _, status = run_raw(scenario)
+            cfg, _, status = run_raw(scenario, record_events=False)
         except ConsensusLabError:
             return False  # deletion broke causality; not a valid shrink
         rep = report_for_config(cfg, list(scenario.values), status)

@@ -24,7 +24,7 @@ from typing import Optional
 from .errors import ConfigError
 from .protocol import gap_indices, is_full
 from .simulation import Configuration
-from .trace import STATUS_COMPLETE, Trace, run_config
+from .trace import STATUS_COMPLETE, Trace, run_script
 
 AGREEMENT = "agreement"
 VALIDITY = "validity"
@@ -149,17 +149,18 @@ def check_properties(trace: Trace) -> PropertyReport:
     """Replay a trace and evaluate all properties on the resulting state.
 
     Replaying rather than trusting the verdict record makes a reported
-    failure self-certifying: the trace alone reproduces it.
+    failure self-certifying: the trace alone reproduces it.  Termination is
+    judged on the replay's own end status, not the recorded one.
     """
     if trace.verdict is None:
         raise ConfigError("trace has no verdict record")
-    cfg = run_config(trace.scenario, trace.events)
+    _, cfg, _, status = run_script(trace.scenario, trace.events)
     if cfg.config_hash() != trace.verdict.config_hash:
         raise ConfigError(
             "trace does not replay to its recorded configuration hash "
             f"({cfg.config_hash()} != {trace.verdict.config_hash})"
         )
-    return report_for_config(cfg, list(trace.scenario.values), trace.verdict.status)
+    return report_for_config(cfg, list(trace.scenario.values), status)
 
 
 def safety_violation(cfg: Configuration, values: list) -> Optional[tuple]:

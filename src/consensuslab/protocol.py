@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import MalformedMessage, ModelViolation, ProtocolViolation, SimulatorBug
 
@@ -51,9 +51,13 @@ class Phase(IntEnum):
     DECIDED = 3
 
 
-@dataclass(frozen=True)
-class Message:
-    """One directed message. ``seq`` is the sender's send counter (0, 1, 2, ...)."""
+class Message(NamedTuple):
+    """One directed message. ``seq`` is the sender's send counter (0, 1, 2, ...).
+
+    A named tuple: hashing and comparing one runs in C, and building one
+    sets no attributes one by one.  The hash is that of the field tuple, as
+    for a frozen dataclass.
+    """
 
     sender: int
     dest: int
@@ -62,8 +66,7 @@ class Message:
     payload: Union[bytes, Vector]
 
 
-@dataclass(frozen=True)
-class Broadcast:
+class Broadcast(NamedTuple):
     """One broadcast a process decided to make: same payload to all peers."""
 
     kind: MsgKind
@@ -104,14 +107,14 @@ def gap_indices(vec: Vector) -> list:
 
 def gap_index(vec: Vector) -> int:
     """Index of the single empty slot; raises if there is not exactly one."""
-    gaps = gap_indices(vec)
-    if len(gaps) != 1:
-        raise MalformedMessage(f"expected exactly one empty slot, found {len(gaps)}")
-    return gaps[0]
+    gaps = vec.count(None)
+    if gaps != 1:
+        raise MalformedMessage(f"expected exactly one empty slot, found {gaps}")
+    return vec.index(None)
 
 
 def is_full(vec: Vector) -> bool:
-    return all(s is not None for s in vec)
+    return None not in vec
 
 
 def _enc_u32(x: int) -> bytes:
@@ -222,10 +225,13 @@ class Process:
         self.known_values = {pid: self.input}
         self.initial_count = 0  # initial values received while still collecting
 
+        # Every other process, in index order: the destinations of a broadcast.
+        self.peers = tuple(j for j in range(n) if j != pid)
+
         # Per-sender sequencing state (the in-order processing rule).
-        self.next_seq = {j: 0 for j in range(n) if j != pid}
-        self.reorder: dict = {j: {} for j in range(n) if j != pid}
-        self.seen_seqs: dict = {j: set() for j in range(n) if j != pid}
+        self.next_seq = dict.fromkeys(self.peers, 0)
+        self.reorder: dict = {j: {} for j in self.peers}
+        self.seen_seqs: dict = {j: set() for j in self.peers}
 
         # Messages released by sequencing but ahead of our current phase.
         self.pending_proposals: list = []
@@ -282,13 +288,18 @@ class Process:
             self.seen_seqs[sender].add(msg.seq)
             return [msg]
         held = self.reorder[sender]
-        if msg.seq < self.next_seq[sender] or msg.seq in held:
-            raise ModelViolation(f"duplicate delivery of seq {msg.seq} from P{sender}")
-        held[msg.seq] = msg
-        released = []
-        while self.next_seq[sender] in held:
-            released.append(held.pop(self.next_seq[sender]))
-            self.next_seq[sender] += 1
+        seq, expected = msg.seq, self.next_seq[sender]
+        if seq < expected or seq in held:
+            raise ModelViolation(f"duplicate delivery of seq {seq} from P{sender}")
+        if seq != expected:
+            held[seq] = msg
+            return []
+        released = [msg]
+        expected += 1
+        while expected in held:
+            released.append(held.pop(expected))
+            expected += 1
+        self.next_seq[sender] = expected
         return released
 
     # -- semantics ----------------------------------------------------------
@@ -405,7 +416,7 @@ class Process:
             self._on_final(m.sender, m.payload, out)
 
     def _on_final(self, sender: int, vec: Vector, out: list) -> None:
-        if len(gap_indices(vec)) > 1:
+        if vec.count(None) > 1:
             raise MalformedMessage("final vector must have at most one empty slot")
         self.final_slots[sender] = vec
         if self.phase != Phase.DECISION:

@@ -113,7 +113,15 @@ class SeededRandomScheduler:
             return None
         if _overdue(self.marks, cfg, delivers):
             return delivers[0]
-        return delivers[self.rng.randrange(len(delivers))]
+        # randrange(k) as Random._randbelow draws it, bit for bit the same
+        # stream: k.bit_length() random bits, redrawn while >= k.
+        k = len(delivers)
+        getrandbits = self.rng.getrandbits
+        bits = k.bit_length()
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        return delivers[r]
 
 
 class AdversarialLifoScheduler:

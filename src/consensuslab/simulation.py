@@ -21,13 +21,12 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError, SimulatorBug
 from .protocol import (
     KIND_BY_NAME,
     KIND_NAMES,
-    Broadcast,
     Message,
     MsgKind,
     Process,
@@ -94,8 +93,7 @@ class CrashSpec:
         )
 
 
-@dataclass(frozen=True)
-class BufferEntry:
+class BufferEntry(NamedTuple):
     message: Message
     send_index: int
 
@@ -302,28 +300,31 @@ def _materialize(cfg: Configuration, sender: int, broadcasts: list) -> list:
     the crash events that took effect (empty for a healthy sender).
     """
     events = []
-    for b in broadcasts:
+    buffer, enabled, crashed = cfg.buffer, cfg.enabled, cfg.crashed
+    index, acc = cfg.next_send_index, cfg.buf_acc
+    peers = cfg.processes[sender].peers
+    for kind, payload, seq in broadcasts:
         spec = cfg.crash_pending
-        bite = spec is not None and spec.victim == sender and spec.kind == b.kind
-        dests = [d for d in range(cfg.n) if d != sender]
+        bite = spec is not None and spec.victim == sender and spec.kind == kind
+        dests = peers
         if bite:
             if spec.point == CrashPoint.BEFORE:
-                dests = []
+                dests = ()
             elif spec.point == CrashPoint.DURING:
                 dests = [d for d in dests if d in spec.delivered_to]
         for d in dests:
-            msg = Message(sender, d, b.seq, b.kind, b.payload)
-            entry = BufferEntry(msg, cfg.next_send_index)
-            cfg.buffer[entry.send_index] = entry
-            if d != cfg.crashed:
-                cfg.enabled[entry.send_index] = entry
-            cfg.next_send_index += 1
-            if cfg.buf_acc is not None:
-                cfg.buf_acc = (cfg.buf_acc + _entry_digest(msg)) & _ACC_MASK
+            msg = Message(sender, d, seq, kind, payload)
+            entry = buffer[index] = BufferEntry(msg, index)
+            if d != crashed:
+                enabled[index] = entry
+            index += 1
+            if acc is not None:
+                acc = (acc + _entry_digest(msg)) & _ACC_MASK
         if bite:
             _crash(cfg, sender)
             events.append(CrashBite(sender, spec.point, spec.kind))
             break  # the victim emits nothing further
+    cfg.next_send_index, cfg.buf_acc = index, acc
     return events
 
 
@@ -355,11 +356,10 @@ def memo_step(steps: dict, proc: Process, message: Message) -> tuple:
     if step is None:
         stepped = proc.clone()
         sends = [
-            Message(proc.pid, d, b.seq, b.kind, b.payload)
+            Message(proc.pid, d, seq, kind, payload)
             for released in stepped.ingest(message)
-            for b in stepped.process(released)
-            for d in range(proc.n)
-            if d != proc.pid
+            for kind, payload, seq in stepped.process(released)
+            for d in proc.peers
         ]
         sent = sum(_entry_digest(m) for m in sends) & _ACC_MASK
         step = steps[key] = (stepped, sends, sent)
@@ -376,23 +376,26 @@ def apply_step(cfg: Configuration, entry: BufferEntry, step: tuple) -> None:
     not a pending crash victim, whose step depends on the crash anchor, so
     no crash bites.
     """
-    del cfg.buffer[entry.send_index]
-    del cfg.enabled[entry.send_index]
-    dest = entry.message.dest
+    message, at = entry
+    buffer, enabled, crashed = cfg.buffer, cfg.enabled, cfg.crashed
+    del buffer[at]
+    del enabled[at]
+    dest = message.dest
     stepped, sends, sent = step
     if cfg.proc_acc is not None:
         cfg.proc_acc = (
             cfg.proc_acc - cfg.processes[dest].state_key() + stepped.state_key()
         ) & _ACC_MASK
     cfg.processes[dest] = stepped
+    index = cfg.next_send_index
     for msg in sends:
-        added = BufferEntry(msg, cfg.next_send_index)
-        cfg.buffer[added.send_index] = added
-        if msg.dest != cfg.crashed:
-            cfg.enabled[added.send_index] = added
-        cfg.next_send_index += 1
+        added = buffer[index] = BufferEntry(msg, index)
+        if msg.dest != crashed:
+            enabled[index] = added
+        index += 1
+    cfg.next_send_index = index
     if cfg.buf_acc is not None:
-        cfg.buf_acc = (cfg.buf_acc - _entry_digest(entry.message) + sent) & _ACC_MASK
+        cfg.buf_acc = (cfg.buf_acc - _entry_digest(message) + sent) & _ACC_MASK
     cfg.event_count += 1
 
 
@@ -402,25 +405,27 @@ def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
     The destination steps afresh.  The explorer delivers a memoized step
     with ``apply_step`` instead.
     """
-    if cfg.buffer.get(entry.send_index) is not entry:
+    message, at = entry
+    if cfg.buffer.get(at) is not entry:
         raise SimulatorBug("delivery of an entry that is not in the buffer")
-    if entry.message.dest == cfg.crashed:
+    dest = message.dest
+    if dest == cfg.crashed:
         raise SimulatorBug("delivery to a crashed process")
-    del cfg.buffer[entry.send_index]
-    del cfg.enabled[entry.send_index]
+    del cfg.buffer[at]
+    del cfg.enabled[at]
     if cfg.buf_acc is not None:
-        cfg.buf_acc = (cfg.buf_acc - _entry_digest(entry.message)) & _ACC_MASK
-    dest = entry.message.dest
+        cfg.buf_acc = (cfg.buf_acc - _entry_digest(message)) & _ACC_MASK
     proc = cfg.processes[dest]
     old_key = proc.state_key() if cfg.proc_acc is not None else 0
     if cfg.shared:
         proc = cfg.processes[dest] = proc.clone()
     events = []
-    for msg in proc.ingest(entry.message):
+    for msg in proc.ingest(message):
         broadcasts = proc.process(msg)
-        events.extend(_materialize(cfg, dest, broadcasts))
-        if cfg.crashed == dest:
-            break  # victim died mid-step; it takes no further steps
+        if broadcasts:
+            events.extend(_materialize(cfg, dest, broadcasts))
+            if cfg.crashed == dest:
+                break  # victim died mid-step; it takes no further steps
     if cfg.proc_acc is not None:
         cfg.proc_acc = (cfg.proc_acc - old_key + proc.state_key()) & _ACC_MASK
     cfg.event_count += 1

@@ -188,7 +188,7 @@ def run(scenario: Scenario, scheduler=None, record_events: bool = True) -> Trace
 def run_config(trace_scenario: Scenario, events: list) -> Configuration:
     """Re-apply a recorded event list and return the final configuration
     (the run ``replay`` makes, with its errors)."""
-    return _run_script(trace_scenario, events)[1]
+    return run_script(trace_scenario, events)[1]
 
 
 def scripted(base: Scenario, events: list) -> Scenario:
@@ -200,7 +200,7 @@ def scripted(base: Scenario, events: list) -> Scenario:
     return replace(base, scheduler=SchedulerSpec(type="scripted", script=script))
 
 
-def _run_script(base: Scenario, events: list) -> tuple:
+def run_script(base: Scenario, events: list) -> tuple:
     """Run ``scripted(base, events)``; return it and ``run_raw``'s result.
     An event that the run cannot apply (a hand-edited trace) is a
     ``ConfigError`` naming the event."""
@@ -218,13 +218,9 @@ def _run_script(base: Scenario, events: list) -> tuple:
 
 def replay(trace: Trace) -> Trace:
     """Re-run a trace's schedule from its header; the result must match it."""
-    scenario, cfg, events, status = _run_script(trace.scenario, trace.events)
+    scenario, cfg, events, status = run_script(trace.scenario, trace.events)
     return Trace(scenario=scenario, events=events, verdict=Verdict.from_config(cfg, status))
 
 
 def replays_identically(trace: Trace) -> bool:
-    again = replay(trace)
-    return (
-        again.verdict.config_hash == trace.verdict.config_hash
-        and again.verdict.to_dict() == trace.verdict.to_dict()
-    )
+    return replay(trace).verdict.to_dict() == trace.verdict.to_dict()

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +14,14 @@ from hypothesis import strategies as st
 from test_scenario import scenarios
 from test_trace_files import edited_trace
 
+import consensuslab
 from consensuslab.cli import main
 from consensuslab.errors import ConfigError
 from consensuslab.findings import racing_scenario
 from consensuslab.properties import check_properties
+from consensuslab.protocol import MsgKind
 from consensuslab.scenario import Scenario, SchedulerSpec, default_values
+from consensuslab.simulation import CrashPoint, CrashSpec
 from consensuslab.trace import Trace, replay, replays_identically, run
 
 
@@ -292,3 +299,53 @@ def test_any_input_file_exits_with_a_verdict_or_an_error_line(tmp_path_factory, 
     for argv in (["run"], ["explore", "--max-configs", "200"], ["fuzz", "--seeds", "3"]):
         _main_reports([argv[0], str(scenario), *argv[1:]])
     _main_reports(["replay", str(trace)])
+
+
+def _bounded_trace():
+    # Stops at max_events with nobody decided and 23 messages in flight.
+    return run(
+        Scenario(
+            n=5,
+            values=tuple(default_values(5)),
+            scheduler=SchedulerSpec(type="seeded-random", seed=1),
+            max_events=37,
+        )
+    )
+
+
+def test_replay_rejects_a_trace_whose_recorded_status_was_edited(tmp_path, capsys):
+    trace = _bounded_trace()
+    assert trace.verdict.status == "bound"
+    trace.verdict.status = "script_end"  # would excuse termination
+    path = tmp_path / "edited.jsonl"
+    path.write_text(trace.to_jsonl())
+    # The replay's own status decides termination, whatever the record says.
+    assert check_properties(trace).failures() == ["termination"]
+    assert not replays_identically(trace)
+    assert main(["replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "REPLAY DIVERGED: status 'bound' != recorded 'script_end'" in captured.out
+    assert "replay ok" not in captured.out
+    assert "error: " in captured.err
+
+
+def test_undelivered_messages_are_labelled_by_whether_someone_crashed(tmp_path, capsys):
+    path = tmp_path / "bounded.jsonl"
+    _bounded_trace().save(path)
+    assert main(["replay", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "  undelivered: 23 messages" in out
+    assert "crashed process" not in out
+    crash = CrashSpec(0, CrashPoint.BEFORE, MsgKind.INITIAL)
+    run(Scenario(n=5, values=tuple(default_values(5)), crash=crash)).save(path)
+    assert main(["replay", str(path)]) == 0
+    assert "  undelivered (to the crashed process): 12 messages" in capsys.readouterr().out
+
+
+def test_python_dash_m_consensuslab_runs_the_cli():
+    src = Path(consensuslab.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "consensuslab", "version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("consensuslab ")

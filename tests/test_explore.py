@@ -25,7 +25,7 @@ from consensuslab.properties import (
     safety_violation,
     terminal_violation,
 )
-from consensuslab.protocol import MsgKind
+from consensuslab.protocol import MsgKind, Rules
 from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
 from consensuslab.simulation import (
     Configuration,
@@ -477,3 +477,24 @@ class TestMutants:
         trace = run(scenario)
         report = check_properties(trace)
         assert "full_entrants" in report.failures()
+
+
+# The first counterexample fuzz finds at n=5 for the protocol and each rule
+# mutant: (failing seed, property, witness config_hash).  Any change to the
+# run loop, the scheduler's random stream or the hashes moves these.
+FIRST_COUNTEREXAMPLES = {
+    "protocol": (412, "full_entrants", "7d825d14caf1f28c"),
+    "ordering": (598, "full_entrants", "808c7e9a1b29dd6a"),
+    "fill-mismatch": (0, "termination", "e88444b1b8a705e8"),
+    "fill-relay": (55, "full_entrants", "a5e4c33097cb1bf4"),
+    "adopt-full": (2, "agreement", "ff03fa3b41699b54"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_COUNTEREXAMPLES))
+def test_fuzz_finds_the_pinned_first_counterexample(name):
+    rules = MUTANTS.get(name, Rules())
+    verdict = fuzz(replace(base_scenario(), rules=rules), 1000, values_mode="fixed",
+                   stop_on_first=True)
+    got = (verdict.failing_seed, verdict.prop, verdict.trace.verdict.config_hash)
+    assert got == FIRST_COUNTEREXAMPLES[name]

@@ -1,6 +1,8 @@
 """Scheduler behavior: scripts fail fast, randomness is fair, the
 adversary starves whom it is told to."""
 
+import random
+
 import pytest
 
 from consensuslab.errors import SimulatorBug
@@ -167,3 +169,20 @@ def test_watermark_guard_matches_the_scan_oracle(n, fairness_bound):
             expected = run(scenario, scheduler=_scan_oracle(spec)).to_jsonl()
             assert run(scenario).to_jsonl() == expected, (crash, spec)
 
+
+
+class _NoGuardConfig:
+    next_send_index = 0
+
+
+def test_index_draw_is_randranges_stream():
+    # The seeded scheduler draws its index as Random._randbelow does, so a
+    # run's schedule is the one random.randrange would give, bit for bit.
+    # k runs over 1 and every power of two up to 256; the fairness bound is
+    # never reached, so every pick is a draw.
+    for seed in range(50):
+        scheduler = SeededRandomScheduler(seed, fairness_bound=1000)
+        reference = random.Random(seed)
+        for k in range(1, 301):
+            delivers = list(range(k))
+            assert scheduler.next(_NoGuardConfig, delivers) == reference.randrange(k), (seed, k)

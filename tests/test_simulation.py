@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from consensuslab.errors import ConfigError, SimulatorBug
 from consensuslab.explore import fuzz, minimize
 from consensuslab.findings import racing_scenario
-from consensuslab.protocol import MsgKind
+from consensuslab.protocol import Message, MsgKind
 from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
 from consensuslab.schedulers import SeededRandomScheduler
 from consensuslab.simulation import (
+    BufferEntry,
     CrashSpec,
     CrashPoint,
     Deliver,
@@ -290,3 +291,23 @@ class TestCanonicalHashing:
         child = cfg.clone()
         apply_deliver(child, next(iter(child.buffer.values())))
         assert cfg.dedupe_digest() != child.dedupe_digest()
+
+
+class TestTupleRecords:
+    def test_messages_and_entries_hash_as_plain_tuples(self):
+        # Hashing a message or buffer entry runs no Python frame, and gives
+        # the hash of its field tuple, as a frozen dataclass did.
+        assert Message.__hash__ is tuple.__hash__
+        assert BufferEntry.__hash__ is tuple.__hash__
+        m = Message(0, 1, 1, MsgKind.FIRST, (b"a", None, b"c", b"d", b"e"))
+        assert hash(m) == hash((m.sender, m.dest, m.seq, m.kind, m.payload))
+
+    def test_equal_messages_share_one_step_memo_entry(self):
+        cfg, _ = new_configuration(5, VALUES)
+        entry = next(e for e in cfg.buffer.values() if e.message.dest == 1)
+        twin = Message(*entry.message)
+        assert twin is not entry.message and twin == entry.message
+        steps: dict = {}
+        step = memo_step(steps, cfg.processes[1], entry.message)
+        assert memo_step(steps, cfg.processes[1], twin) is step
+        assert len(steps) == 1
