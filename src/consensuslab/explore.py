@@ -126,9 +126,26 @@ def _events(messages: list) -> list:
     return [Deliver(m.sender, m.seq, m.dest, m.kind) for m in messages]
 
 
+def _finished(proc) -> bool:
+    """Has ``proc`` decided and sent its second proposal?  Then it will never
+    broadcast again, so no crash can bite it and a delivery to it only
+    records something; see ``_dfs``."""
+    return proc.second_sent and proc.decided is not None
+
+
+def _ample(entries: list, finished: int) -> list:
+    """The deliveries to expand among ``entries``: the newest one whose
+    destination is in the bitmask ``finished``, alone, if there is one;
+    otherwise all of them."""
+    for entry in reversed(entries):
+        if finished >> entry.message.dest & 1:
+            return [entry]
+    return entries
+
+
 def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict, seen: set,
          steps: Optional[dict], sink: Optional[set] = None, sleep: int = 0):
-    """Depth-first search over all delivery interleavings from ``cfg0``.
+    """Depth-first search over the delivery interleavings from ``cfg0``.
 
     ``prefix`` lists the messages delivered to reach ``cfg0``.  Returns
     (property, witness_events) or None.  Children are expanded
@@ -143,43 +160,76 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
 
     A delivery looks its step up once, and with dedupe on checks the
     child's digest before building the child: from the parent's
-    accumulators and the memo entry, ``step_digest`` gives the exact
-    digest the child would have, so a delivery that reaches a stored
-    configuration costs no clone.  Otherwise the child is cloned and takes
-    that same step.  A delivery to the victim of a pending crash, whose
-    step depends on the crash anchor, is cloned and stepped afresh.
+    accumulators and the memo entry's digest deltas, ``step_digest`` gives
+    the exact digest the child would have, so a delivery that reaches a
+    stored configuration costs no clone.  Otherwise the child is cloned and
+    takes that same step.  A delivery to the victim of a pending crash,
+    whose step depends on the crash anchor, is cloned and stepped afresh.
+
+    Two reductions cut the search.  Two deliveries are dependent iff they
+    share a destination: a delivery changes only its destination's process
+    and appends to the buffer, and a crash disables only the victim's
+    inbound messages.
+
+    One delivery to a finished process.  A process that has decided and
+    sent its second proposal has broadcast all four kinds, so it never
+    broadcasts again and no crash can bite it (a crash bites only at the
+    victim's own broadcast).  A delivery to it only records a value, a
+    tally, a second count or a final slot; these records commute with each
+    other and send nothing, so such a delivery is independent of every
+    other delivery, including those to the same process, and it is
+    invisible: it never changes ``decided`` or ``decision_entry``.  At a
+    configuration with an enabled delivery to a finished process, the
+    search makes only that delivery (the newest such), a singleton ample
+    set (Peled 1993); otherwise it makes every enabled delivery outside
+    the sleep set.  Each stack frame carries the bitmask of the finished
+    processes, which only grows along a path, so the enabled deliveries
+    are scanned for the rule only when the mask is nonzero.
 
     Sleep sets with state caching (Godefroid 1996) skip deliveries whose
-    configuration an earlier branch has already reached.  Two deliveries
-    are dependent iff they share a destination: a delivery changes only its
-    destination's process and appends to the buffer, and a crash disables
-    only the victim's inbound messages.  A child's sleep set is its
-    parent's sleep set plus the deliveries already tried from the parent,
-    less those to the child's own destination; ``sleep`` is the sleep set
-    of ``cfg0``.  A delivery in a sleep set is never made.
+    configuration an earlier branch has already reached.  A child's sleep
+    set is its parent's sleep set plus the deliveries already made from
+    the parent, less those to the child's own destination; ``sleep`` is
+    the sleep set of ``cfg0``.  A delivery in a sleep set is never made.
 
-    A stored configuration reached again is not expanded again, even with a
-    smaller sleep set than it was stored with: Godefroid's re-expansion of
-    the difference is not needed here.  Every path to a configuration has
-    the same length (the messages sent less those still buffered), so the
-    graph is acyclic, and a stored configuration reached again is deeper
-    than every configuration on the stack and so fully expanded.  By
-    induction in the order expansions finish, everything reachable from a
-    fully expanded configuration is stored: a delivery t in the sleep set
-    of a configuration x was tried at an ancestor a of x (for a chunk's
-    root, at the chunk's start) before the branch leading to x, and
-    commutes with every delivery on the path w from a to x, so t from x
-    reaches what w reaches from a's t-child, whose expansion finished
-    before x was reached.  Hence the search stores the same configurations
-    in the same order as the unreduced search, and every verdict, witness
-    and count except ``dedupe_hits`` is the same; ``configs + dedupe_hits``
-    is the number of deliveries made.  The argument needs every enabled
-    delivery outside the sleep set to be made: persistent or stubborn sets,
-    or DPOR, break it and must bring re-expansion back.
+    Soundness: the search reaches the same terminal configurations as the
+    unreduced search, and finds a violation iff the unreduced search does
+    (both within budget).  Every path to a configuration has the same
+    length (the messages sent less those still buffered), so the graph is
+    acyclic, and a stored configuration reached again is deeper than every
+    configuration on the stack and so fully expanded.  By induction in the
+    order expansions finish, every terminal reachable from a fully
+    expanded configuration x is stored.  Let z be reached from x by a path
+    w.  (1) If x has an ample delivery t, t is never disabled, so it occurs
+    in w, and it commutes with every delivery before it: z is reachable
+    from x's t-child.  (2) Otherwise w starts with some delivery t, and z
+    is reachable from x's t-child.  If t was made, that child was stored
+    and fully expanded, now or before.  If t is in x's sleep set, t was
+    made at an ancestor a of x (for a chunk's root, at the chunk's start)
+    before the branch leading to x, and commutes with every delivery on
+    the path p from a to x, so x's t-child is a's t-child followed by p,
+    and a's t-child was fully expanded before x was reached.  Either way
+    z is stored.  So a stored configuration reached again is not expanded
+    again, even with a smaller sleep set than it was stored with:
+    Godefroid's re-expansion of the difference is not needed.  Only
+    terminal and frontier configurations are judged by ``full_entrants``
+    and ``termination``, and every safety property reads only ``decided``
+    and ``decision_entry``, which are fixed once set, so a reachable safety
+    violation persists to a reachable terminal.  A finished process's step
+    raises only on a property of the message itself or on a second
+    proposal that differs from its fixed ``second_value``, so whether it
+    raises does not depend on the order of its deliveries.  The reduced
+    search stores fewer configurations than the unreduced one, so
+    ``configs``, ``dedupe_hits`` and, under a depth bound deep enough for
+    a process to finish, the frontier differ; ``configs + dedupe_hits`` is
+    the number of deliveries made.  Until some process has finished the
+    search stores the unreduced search's configurations in its order.
 
     The safety check runs on a new configuration only if the delivery
-    replaced its destination's decision or decision-stage entry: the
-    parent passed it, and nothing else it reads can change.
+    changed its destination's decision or decision-stage entry: the parent
+    passed it, and nothing else it reads can change.  The fields are
+    compared by value, not identity: a memoized step hands back a process
+    whose equal vectors may be other objects than the parent's.
     """
     values = list(base.values)
     n = base.n
@@ -204,14 +254,16 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     stats["configs"] += 1
     if dedupe:
         stored(cfg0.dedupe_digest(), depth0)
+    finished0 = sum(1 << i for i, p in enumerate(cfg0.processes) if _finished(p))
     # A frame is [configuration, children left, depth, sleep set plus the
-    # children tried so far].  enabled_deliveries lists entries in send
-    # order; popping from the end expands the newest delivery first.
-    stack = [[cfg0, enabled_deliveries(cfg0), depth0, sleep]]
+    # children tried so far, finished processes].  enabled_deliveries lists
+    # entries in send order; popping from the end expands the newest
+    # delivery first.
+    stack = [[cfg0, _ample(enabled_deliveries(cfg0), finished0), depth0, sleep, finished0]]
     path = list(prefix)
     while stack:
         frame = stack[-1]
-        cfg, children, depth, tried = frame
+        cfg, children, depth, tried, finished = frame
         if not children:
             stack.pop()
             if len(path) > depth0:
@@ -219,7 +271,7 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
             continue
         entry = children.pop()
         m = entry.message
-        bit = _key_bit(m, n)
+        bit = 1 << ((m.seq * n + m.sender) * n + m.dest)  # _key_bit(m, n), inlined
         if tried & bit:
             continue  # asleep
         frame[3] = tried | bit
@@ -238,7 +290,7 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
         stats["configs"] += 1
         path.append(m)
         before, after = cfg.processes[m.dest], child.processes[m.dest]
-        if after.decided is not before.decided or after.decision_entry is not before.decision_entry:
+        if after.decided != before.decided or after.decision_entry != before.decision_entry:
             v = safety_violation(child, values)
             if v is not None:
                 return v[0], _events(path)
@@ -263,7 +315,11 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
                 sink.add(child.dedupe_digest())
             path.pop()
             continue
-        stack.append([child, nxt, depth + 1, tried & independent[m.dest]])
+        if not finished >> m.dest & 1 and _finished(after):
+            finished |= 1 << m.dest
+        if finished:
+            nxt = _ample(nxt, finished)
+        stack.append([child, nxt, depth + 1, tried & independent[m.dest], finished])
     return None
 
 
@@ -330,14 +386,19 @@ def explore(
     states collected in ``reach_sink`` does not change unless a chunk runs
     out of budget.
 
-    Sleep sets skip deliveries that would reach an already stored
-    configuration (two deliveries are dependent iff they share a
-    destination; see ``_dfs``).  The stored configurations, and so every
-    verdict, witness and count but one, are those of the unreduced search:
-    ``stats["dedupe_hits"]`` counts the deliveries that reached a stored
-    configuration, so ``configs + dedupe_hits`` is the number of deliveries
-    made.  With ``dedupe`` off there is no state cache and no sleep set:
-    every interleaving is searched.
+    Two reductions cut the search (see ``_dfs``).  Sleep sets skip
+    deliveries that would reach an already stored configuration (two
+    deliveries are dependent iff they share a destination).  Where a
+    delivery to a finished process, one that has decided and sent its
+    second proposal, is enabled, only that delivery is made: it commutes
+    with every other delivery and no property can see it.  The search
+    reaches the terminal configurations of the unreduced search and finds
+    a violation iff that search does, but stores fewer configurations
+    once some process has finished.  ``stats["dedupe_hits"]`` counts the
+    deliveries that reached a stored configuration, so ``configs +
+    dedupe_hits`` is the number of deliveries made.  With ``dedupe`` off
+    there is no state cache and no sleep set, and the one-delivery rule
+    still applies.
 
     Process steps are memoized for the length of the call: one memo serves
     every root of every chunk searched in this process, a pool job builds

@@ -41,6 +41,9 @@ class Check:
     detail: Optional[str] = None
 
 
+_PASS = Check(True)  # a Check is immutable, so every passing check shares one
+
+
 @dataclass
 class PropertyReport:
     agreement: Check
@@ -79,7 +82,7 @@ def _check_agreement(decided: list) -> Check:
     for (i, a), (j, b) in zip(got, got[1:]):
         if a != b:
             return Check(False, f"P{i} decided {_vec_label(a)} but P{j} decided {_vec_label(b)}")
-    return Check(True)
+    return _PASS
 
 
 def _check_validity(decided: list, values: list) -> Check:
@@ -93,41 +96,41 @@ def _check_validity(decided: list, values: list) -> Check:
         for k, slot in enumerate(vec):
             if slot is not None and slot != values[k]:
                 return Check(False, f"P{i}'s decided slot {k} does not match P{k}'s input")
-    return Check(True)
+    return _PASS
 
 
 def _check_termination(decided: list, crashed: Optional[int], status: str) -> Check:
     # Only judged on finished runs: a deliberately truncated script says
     # nothing about liveness.
     if status == "script_end":
-        return Check(True)
+        return _PASS
     undecided = [i for i, v in enumerate(decided) if v is None and i != crashed]
     if undecided:
         who = ", ".join(f"P{i}" for i in undecided)
         return Check(False, f"{who} never decided (run ended with status {status!r})")
-    return Check(True)
+    return _PASS
 
 
 def _check_same_gap_index(entered: list) -> Check:
     gaps = {}
     for i, vec in enumerate(entered):
-        if vec is None or is_full(vec):
+        if vec is None or None not in vec:
             continue
-        gaps.setdefault(gap_indices(vec)[0], []).append(i)
+        gaps.setdefault(vec.index(None), []).append(i)
     if len(gaps) > 1:
         detail = "; ".join(
             f"slot {g} missing for {', '.join(f'P{i}' for i in who)}"
             for g, who in sorted(gaps.items())
         )
         return Check(False, f"gapped entry vectors disagree on the missing slot: {detail}")
-    return Check(True)
+    return _PASS
 
 
 def _check_full_entrants(entered: list) -> Check:
     full = [i for i, vec in enumerate(entered) if vec is not None and is_full(vec)]
     if len(full) == 1:
         return Check(False, f"P{full[0]} is the only process that entered deciding with the full vector")
-    return Check(True)
+    return _PASS
 
 
 def report_for_config(
@@ -167,12 +170,13 @@ def safety_violation(cfg: Configuration, values: list) -> Optional[tuple]:
     """Incremental safety check for the explorer: properties that can already
     be judged mid-run.  Returns (property_name, detail) or None."""
     decided = [p.decided for p in cfg.processes]
-    c = _check_agreement(decided)
-    if not c.ok:
-        return AGREEMENT, c.detail
-    c = _check_validity(decided, values)
-    if not c.ok:
-        return VALIDITY, c.detail
+    distinct = set(decided)
+    distinct.discard(None)
+    if len(distinct) > 1:
+        return AGREEMENT, _check_agreement(decided).detail
+    # Every decision is the one vector left, so checking it checks them all.
+    if distinct and not _check_validity(list(distinct), values).ok:
+        return VALIDITY, _check_validity(decided, values).detail
     c = _check_same_gap_index([p.decision_entry for p in cfg.processes])
     if not c.ok:
         return SAME_GAP_INDEX, c.detail

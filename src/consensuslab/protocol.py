@@ -168,6 +168,12 @@ def encode_payload(kind: MsgKind, payload) -> bytes:
     return encode_vector(payload)
 
 
+# The repr of one field of a process's state image.  Fields recur across
+# millions of images, so their reprs are cached.  ``typed`` keeps True and 1
+# apart at the top level; below it a field holds no bool.
+_field_repr = lru_cache(maxsize=65536, typed=True)(repr)
+
+
 @lru_cache(maxsize=65536)
 def encode_message(m: Message) -> bytes:
     return (
@@ -481,15 +487,15 @@ class Process:
             self.initial_count,
             tuple(sorted(self.known_values.items())),
             tuple(sorted(self.next_seq.items())),
-            tuple(
-                (j, tuple(encode_message(self.reorder[j][q]) for q in sorted(self.reorder[j])))
-                for j in sorted(self.reorder)
-            ),
-            tuple((j, tuple(sorted(self.seen_seqs[j]))) for j in sorted(self.seen_seqs)),
-            tuple(encode_message(m) for m in self.pending_proposals),
-            tuple(encode_message(m) for m in self.pending_finals),
+            tuple([
+                (j, tuple([encode_message(held[q]) for q in sorted(held)]) if held else ())
+                for j, held in sorted(self.reorder.items())
+            ]),
+            tuple([(j, tuple(sorted(seen))) for j, seen in sorted(self.seen_seqs.items())]),
+            tuple(map(encode_message, self.pending_proposals)),
+            tuple(map(encode_message, self.pending_finals)),
             self.first_proposal,
-            tuple(sorted((encode_vector(v), c) for v, c in self.first_tally.items())),
+            tuple(sorted([(encode_vector(v), c) for v, c in self.first_tally.items()])),
             self.second_count,
             self.second_value,
             self.completion,
@@ -499,7 +505,8 @@ class Process:
             self.seen_full_final,
             self.decided,
         )
-        self._canon = repr(state).encode()
+        # The repr of the tuple, joined from the cached reprs of its fields.
+        self._canon = ("(%s)" % ", ".join(map(_field_repr, state))).encode()
         return self._canon
 
     def state_key(self) -> int:

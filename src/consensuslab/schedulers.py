@@ -66,31 +66,25 @@ class ScriptedScheduler:
         item = self.script[self.pos]
         self.pos += 1
         tag = item[0]
+        # A message key, (sender, kind, dest) or (sender, seq, dest), names at
+        # most one buffered message, so the first match is the only one.
         if tag == "deliver":
             _, sender, kind, dest = item
             if isinstance(kind, str):
                 kind = MsgKind[kind.upper()]
-            matches = [
-                e
-                for e in delivers
-                if e.message.sender == sender
-                and e.message.kind == kind
-                and e.message.dest == dest
-            ]
+            for e in delivers:
+                m = e.message
+                if m.sender == sender and m.kind == kind and m.dest == dest:
+                    return e
         elif tag == "deliver_seq":
             _, sender, seq, dest = item
-            matches = [
-                e
-                for e in delivers
-                if e.message.sender == sender and e.message.seq == seq and e.message.dest == dest
-            ]
+            for e in delivers:
+                m = e.message
+                if m.sender == sender and m.seq == seq and m.dest == dest:
+                    return e
         else:
             raise SimulatorBug(f"unknown script item {item!r}")
-        if len(matches) != 1:
-            raise SimulatorBug(
-                f"script step {self.pos - 1} {item!r} matched {len(matches)} enabled events"
-            )
-        return matches[0]
+        raise SimulatorBug(f"script step {self.pos - 1} {item!r} matched 0 enabled events")
 
 
 class SeededRandomScheduler:

@@ -175,20 +175,15 @@ class Configuration:
     def clone(self) -> "Configuration":
         # Copy-on-write: both configurations share the process objects until
         # one of them delivers a message, which replaces the one touched
-        # process.  This keeps state-space branching cheap.
+        # process.  This keeps state-space branching cheap.  Every field
+        # but the three containers holds an immutable value.
         self.shared = True
-        return Configuration(
-            processes=list(self.processes),
-            buffer=dict(self.buffer),
-            enabled=dict(self.enabled),
-            next_send_index=self.next_send_index,
-            crashed=self.crashed,
-            crash_pending=self.crash_pending,
-            event_count=self.event_count,
-            shared=True,
-            buf_acc=self.buf_acc,
-            proc_acc=self.proc_acc,
-        )
+        c = Configuration.__new__(Configuration)
+        c.__dict__.update(self.__dict__)
+        c.processes = list(self.processes)
+        c.buffer = dict(self.buffer)
+        c.enabled = dict(self.enabled)
+        return c
 
     def all_alive_decided(self) -> bool:
         return all(
@@ -238,15 +233,12 @@ class Configuration:
 
     def step_digest(self, entry: BufferEntry, step: tuple) -> int:
         """The ``dedupe_digest`` that ``apply_step(self.clone(), entry, step)``
-        would give, computed from this configuration's accumulators without
-        building the child.  ``dedupe_digest`` must have run on ``self``.
+        would give, computed from this configuration's accumulators and the
+        memo entry's digest deltas without building the child: integer
+        arithmetic only.  ``dedupe_digest`` must have run on ``self``.
         """
-        stepped, _, sent = step
-        old = self.processes[entry.message.dest]
-        return self._fold(
-            self.proc_acc - old.state_key() + stepped.state_key(),
-            self.buf_acc - _entry_digest(entry.message) + sent,
-        )
+        _, _, proc_delta, buf_delta = step
+        return self._fold(self.proc_acc + proc_delta, self.buf_acc + buf_delta)
 
     def _fold(self, proc_acc: int, buf_acc: int) -> int:
         tail = (
@@ -346,10 +338,13 @@ def memo_step(steps: dict, proc: Process, message: Message) -> tuple:
     ``steps`` maps (the process's canonical image, the message) to the
     stepped process, the messages its step sends, in the order
     ``_materialize`` appends them for a sender with no pending crash, and
-    the sum of their buffer digests.  The stepped process is shared by
-    every configuration that takes the step and is never mutated.  The
-    image leaves out ``rules`` and ``final_quorum``, so a memo must serve
-    one scenario only.
+    two digest deltas: the stepped process's ``state_key`` less ``proc``'s,
+    and the sum of the sent messages' buffer digests less the delivered
+    one's.  Both are constant per (image, message), so a delivery by the
+    entry moves the accumulators of ``dedupe_digest`` by integer additions
+    alone.  The stepped process is shared by every configuration that takes
+    the step and is never mutated.  The image leaves out ``rules`` and
+    ``final_quorum``, so a memo must serve one scenario only.
     """
     key = (proc.canonical_bytes(), message)
     step = steps.get(key)
@@ -361,15 +356,20 @@ def memo_step(steps: dict, proc: Process, message: Message) -> tuple:
             for kind, payload, seq in stepped.process(released)
             for d in proc.peers
         ]
-        sent = sum(_entry_digest(m) for m in sends) & _ACC_MASK
-        step = steps[key] = (stepped, sends, sent)
+        sent = sum(_entry_digest(m) for m in sends)
+        step = steps[key] = (
+            stepped,
+            sends,
+            stepped.state_key() - proc.state_key(),
+            sent - _entry_digest(message),
+        )
     return step
 
 
 def apply_step(cfg: Configuration, entry: BufferEntry, step: tuple) -> None:
     """Deliver ``entry`` by its step memo entry ``step`` (see ``memo_step``):
-    swap in the stepped process, append its sends and add their digest
-    sum, building no message and hashing nothing.
+    swap in the stepped process, append its sends and add the digest
+    deltas, building no message and hashing nothing.
 
     Only for an enabled entry of a configuration made by ``clone``, whose
     processes are copied before any mutation, and a destination that is
@@ -380,13 +380,8 @@ def apply_step(cfg: Configuration, entry: BufferEntry, step: tuple) -> None:
     buffer, enabled, crashed = cfg.buffer, cfg.enabled, cfg.crashed
     del buffer[at]
     del enabled[at]
-    dest = message.dest
-    stepped, sends, sent = step
-    if cfg.proc_acc is not None:
-        cfg.proc_acc = (
-            cfg.proc_acc - cfg.processes[dest].state_key() + stepped.state_key()
-        ) & _ACC_MASK
-    cfg.processes[dest] = stepped
+    stepped, sends, proc_delta, buf_delta = step
+    cfg.processes[message.dest] = stepped
     index = cfg.next_send_index
     for msg in sends:
         added = buffer[index] = BufferEntry(msg, index)
@@ -394,8 +389,9 @@ def apply_step(cfg: Configuration, entry: BufferEntry, step: tuple) -> None:
             enabled[index] = added
         index += 1
     cfg.next_send_index = index
-    if cfg.buf_acc is not None:
-        cfg.buf_acc = (cfg.buf_acc - _entry_digest(message) + sent) & _ACC_MASK
+    if cfg.proc_acc is not None:  # set together with buf_acc by dedupe_digest
+        cfg.proc_acc = (cfg.proc_acc + proc_delta) & _ACC_MASK
+        cfg.buf_acc = (cfg.buf_acc + buf_delta) & _ACC_MASK
     cfg.event_count += 1
 
 

@@ -24,13 +24,15 @@ from consensuslab.explore import (
     OUTCOME_BOUND,
     OUTCOME_COUNTEREXAMPLE,
     ExploreBounds,
+    _explore_chunk,
     explore,
     fuzz,
     minimize,
 )
 from consensuslab.properties import check_properties
 from consensuslab.scenario import Scenario, SchedulerSpec, default_values
-from consensuslab.trace import replays_identically
+from consensuslab.simulation import enabled_deliveries, new_configuration
+from consensuslab.trace import replays_identically, run, scripted
 
 FAIRNESS_BOUND = 64
 MAX_EVENTS = 10_000
@@ -172,6 +174,28 @@ def test_criterion_5_worker_invariance():
     many = explore(_base(5), bounds, chunks=8, workers=2)
     assert (one.outcome, one.prop, one.stats) == (many.outcome, many.prop, many.stats)
     print("\ncriterion 5 (workers): PASS - identical verdict and stats for 1 vs 2 workers")
+
+
+def test_criterion_5_race_chunk_alone():
+    # Criterion 5's search power, pinned in about a second: explore splits
+    # the search by first delivery into 16 chunks with a 312,500-config
+    # share each, and the 16th chunk alone must find the agreement race
+    # within its share, with a witness that replays.
+    scenario = _base(5)
+    bounds = ExploreBounds(max_configs=5_000_000)
+    chunks = 16
+    cfg0, _ = new_configuration(5, list(scenario.values))
+    roots = [(e.message.sender, e.message.seq, e.message.dest)
+             for e in reversed(enabled_deliveries(cfg0))]
+    share = bounds.max_configs // chunks
+    result = _explore_chunk((scenario, bounds, roots[chunks - 1::chunks], share))
+    assert result["violation"] is not None
+    prop, events = result["violation"]
+    assert prop == "agreement"
+    assert result["stats"]["configs"] <= share
+    witness = run(scripted(scenario, events))
+    assert prop in check_properties(witness).failures()
+    assert replays_identically(witness)
 
 
 def test_criterion_6_mutation_sensitivity():

@@ -13,7 +13,10 @@ from consensuslab.explore import (
     OUTCOME_BOUND,
     OUTCOME_COUNTEREXAMPLE,
     ExploreBounds,
+    _dfs,
+    _finished,
     _fuzz_outcomes,
+    _new_stats,
     explore,
     fuzz,
     minimize,
@@ -36,7 +39,15 @@ from consensuslab.simulation import (
     enabled_deliveries,
     new_configuration,
 )
-from consensuslab.trace import STATUS_COMPLETE, STATUS_STUCK, replays_identically, run
+from consensuslab.schedulers import scheduler_from_spec
+from consensuslab.trace import (
+    STATUS_COMPLETE,
+    STATUS_STUCK,
+    replays_identically,
+    run,
+    run_raw,
+    scripted,
+)
 
 VALUES = default_values(5)
 
@@ -53,7 +64,7 @@ def base_scenario(**kw):
 def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, steps, sink=None, sleep=0):
     """The plain search, as an oracle for ``explore._dfs``: every enabled
     delivery is cloned and stepped afresh, and every new configuration is
-    safety-checked (the step memo and the sleep set are ignored)."""
+    safety-checked (no step memo, no sleep set and no one-delivery rule)."""
     values = list(base.values)
 
     def key(cfg, depth):
@@ -114,6 +125,49 @@ def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, steps, sink=None, sle
             continue
         stack.append((child, nxt, depth + 1))
     return None
+
+
+class _Recording:
+    """Wraps a scheduler and keeps, for each pick, a copy of the
+    configuration it picked from and the message it picked."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.picks = []
+
+    def next(self, cfg, delivers):
+        choice = self.inner.next(cfg, delivers)
+        if choice is not None:
+            self.picks.append((cfg.clone(), choice.message))
+        return choice
+
+
+def recorded_picks(scenario):
+    recording = _Recording(scheduler_from_spec(scenario.scheduler))
+    run_raw(scenario, recording, record_events=False)
+    return recording.picks
+
+
+def seeded_runs(n, seeds):
+    """Seeded scenarios of the protocol and the four mutants: even seeds
+    crash-free, odd seeds in a crash cell drawn from the seed."""
+    cells = crash_grid(n)
+    for rules in [Rules(), *MUTANTS.values()]:
+        base = Scenario(n=n, values=tuple(default_values(n)), rules=rules)
+        for seed in range(seeds):
+            crash = cells[seed * 11 % len(cells)] if seed % 2 else None
+            yield base.with_crash(crash).with_seed(seed)
+
+
+def starved_runs(n):
+    """Runs of the protocol and the four mutants under the adversarial
+    scheduler, starving each process in turn: the others can decide before
+    a starved process's first proposal reaches them, and then still owe
+    their second proposal."""
+    for rules in [Rules(), *MUTANTS.values()]:
+        base = Scenario(n=n, values=tuple(default_values(n)), rules=rules)
+        for starve in range(n):
+            yield replace(base, scheduler=SchedulerSpec(type="adversarial-lifo", starve=starve))
 
 
 class TestCrashGrid:
@@ -314,10 +368,17 @@ class TestExplore:
 
     def test_sleep_sets_match_the_unreduced_search(self, monkeypatch):
         # The soundness gate of the sleep sets: with and without crashes,
-        # under the four mutants, chunked or not, the reduced search stores
-        # the same configurations in the same order as the plain search, so
-        # verdicts, witnesses, counts and reached states are identical; only
-        # deliveries that reach a stored configuration are saved.
+        # under the four mutants, chunked or not, the reduced search gives
+        # the plain search's verdicts, witnesses, counts and reached states;
+        # only deliveries that reach a stored configuration are saved.  The
+        # sleep sets alone store the plain search's configurations in its
+        # order.  This test cannot see the one-delivery rule: the depth
+        # bounds stop the search before any process can finish, the two
+        # witnesses come before any process finishes, and every unbounded
+        # search spends its 3,000-config budget having reached the same
+        # first terminals, although the rule changes which configurations
+        # it stores.  test_one_delivery_rule_matches_the_unreduced_search
+        # is the rule's gate.
         mid = CrashSpec(4, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
         scenarios = [
             base_scenario(),
@@ -352,6 +413,79 @@ class TestExplore:
         assert all(r[1] < p[1] or p[1] == 0 for r, p in zip(reduced, plain))
         assert sum(r[1] for r in reduced) < sum(p[1] for p in plain)
         assert any(p[0][0] == OUTCOME_COUNTEREXAMPLE for p in plain)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_deliveries_to_a_finished_process_commute(self, n):
+        # The one-delivery rule rests on this: a delivery t to a process
+        # that has decided and sent its second proposal sends nothing and
+        # commutes with every other enabled delivery u, also one to the same
+        # process or one that makes a crash bite.  Checked on every
+        # configuration of seeded and starved runs in which some process has
+        # finished, for the delivery the rule picks and, in the seeded runs,
+        # every other delivery to a finished process; in the starved runs a
+        # decided process can still owe its second proposal, which must not
+        # count as finished.
+        pairs = 0
+        runs = [(s, False) for s in seeded_runs(n, 6)] + [(s, True) for s in starved_runs(n)]
+        for scenario, newest_only in runs:
+            for cfg, _ in recorded_picks(scenario):
+                finished = {i for i, p in enumerate(cfg.processes) if _finished(p)}
+                entries = enabled_deliveries(cfg)
+                to_finished = [e for e in entries if e.message.dest in finished]
+                for t in to_finished[-1:] if newest_only else to_finished:
+                    alone = cfg.clone()
+                    apply_deliver(alone, alone.buffer[t.send_index])
+                    assert alone.next_send_index == cfg.next_send_index
+                    assert len(alone.buffer) == len(cfg.buffer) - 1
+                    for u in entries:
+                        if u is t:
+                            continue
+                        images = []
+                        for first, second in ((t, u), (u, t)):
+                            child = cfg.clone()
+                            apply_deliver(child, child.buffer[first.send_index])
+                            apply_deliver(child, child.buffer[second.send_index])
+                            images.append((child.dedupe_digest(), child.config_hash()))
+                        assert images[0] == images[1], scenario
+                        pairs += 1
+        assert pairs > 1000
+
+    def test_one_delivery_rule_matches_the_unreduced_search(self):
+        # The soundness gate of the one-delivery rule.  From the
+        # configuration ten deliveries before the end of seeded runs (the
+        # protocol and the four mutants, crash-free and in crash cells), an
+        # exhaustive search by _dfs and by the plain search must agree on
+        # whether there is a violation; each witness must replay and fail
+        # its property; without a violation both must reach the same
+        # terminal configurations; and _dfs must store fewer configurations
+        # in total.
+        back = 10
+        configs = {"reduced": 0, "plain": 0}
+        violations = clean = 0
+        for scenario in seeded_runs(5, 12):
+            picks = recorded_picks(scenario)
+            cfg0 = picks[-back][0]
+            prefix = [m for _, m in picks[:-back]]
+            results = {}
+            for name, dfs in (("reduced", _dfs), ("plain", unreduced_dfs)):
+                stats, sink = _new_stats(10**7), set()
+                found = dfs(cfg0.clone(), scenario, ExploreBounds(), prefix, stats, set(), {}, sink)
+                assert not stats["truncated"]
+                configs[name] += stats["configs"]
+                results[name] = (found, sink)
+            (found, sink), (plain_found, plain_sink) = results["reduced"], results["plain"]
+            assert (found is None) == (plain_found is None), (scenario.rules, scenario.scheduler.seed)
+            if found is None:
+                assert sink == plain_sink
+                clean += 1
+                continue
+            violations += 1
+            for prop, events in (found, plain_found):
+                witness = run(scripted(scenario, events))
+                assert prop in check_properties(witness).failures()
+                assert replays_identically(witness)
+        assert violations and clean
+        assert configs["reduced"] < configs["plain"]
 
     @pytest.mark.parametrize("field", ["decided", "decision_entry"])
     def test_incremental_safety_check_sees_both_fields(self, monkeypatch, field):
