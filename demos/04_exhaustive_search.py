@@ -2,9 +2,9 @@
 
 Every reachable configuration (process states + message buffer) is
 visited depth-first; equivalent configurations reached along different
-delivery orders collapse through canonical-state hashing.  Safety is
-checked at every visited configuration, termination and the entrant-count
-guarantee at every maximal one.
+delivery orders collapse to one exact key over interned process states
+and messages.  Safety is checked at every visited configuration,
+termination and the entrant-count guarantee at every maximal one.
 
 Two searches run below.  The broken-rule variant finds an agreement
 counterexample within a few hundred configurations.  The unmodified

@@ -123,11 +123,7 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_explore(args) -> int:
     scenario = _apply_overrides(Scenario.load(args.scenario), args)
-    bounds = ExploreBounds(
-        max_depth=args.max_depth,
-        max_configs=args.max_configs,
-        dedupe=not args.no_dedupe,
-    )
+    bounds = ExploreBounds(max_depth=args.max_depth, max_configs=args.max_configs)
     verdict = explore(scenario, bounds, chunks=args.chunks, workers=args.workers)
     out = _Out(args.report)
     out.line(f"explore: {verdict.summary()}")
@@ -213,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-configs", type=int, default=5_000_000)
     p.add_argument("--chunks", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--no-dedupe", action="store_true")
     p.add_argument("--trace", default=None, help="write a counterexample trace here")
     p.set_defaults(func=_cmd_explore)
 

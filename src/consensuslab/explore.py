@@ -26,11 +26,12 @@ from .properties import (
 from .protocol import MsgKind, Rules
 from .scenario import Scenario, bit_values, crash_grid
 from .simulation import (
+    BufferEntry,
+    Configuration,
     Deliver,
     apply_deliver,
-    apply_step,
+    configuration_image,
     enabled_deliveries,
-    memo_step,
     new_configuration,
 )
 from .trace import STATUS_COMPLETE, STATUS_STUCK, Trace, run, run_raw, scripted
@@ -54,7 +55,6 @@ MUTANTS = {
 class ExploreBounds:
     max_depth: Optional[int] = None  # None = bounded only by the run itself
     max_configs: int = 5_000_000
-    dedupe: bool = True
 
     def validate(self) -> None:
         if self.max_depth is not None and self.max_depth < 1:
@@ -106,14 +106,8 @@ def _key_bit(m, n: int) -> int:
     return 1 << ((m.seq * n + m.sender) * n + m.dest)
 
 
-def _independent(n: int, dedupe: bool) -> list:
-    """Per destination d, the mask keeping the keys whose destination is not d.
-
-    Without deduplication every mask is empty, so every sleep set is too and
-    the search is the plain tree of all interleavings.
-    """
-    if not dedupe:
-        return [0] * n
+def _independent(n: int) -> list:
+    """Per destination d, the mask keeping the keys whose destination is not d."""
     same = [0] * n
     for seq in range(len(MsgKind)):
         for sender in range(n):
@@ -133,38 +127,158 @@ def _finished(proc) -> bool:
     return proc.second_sent and proc.decided is not None
 
 
-def _ample(entries: list, finished: int) -> list:
-    """The deliveries to expand among ``entries``: the newest one whose
-    destination is in the bitmask ``finished``, alone, if there is one;
-    otherwise all of them."""
-    for entry in reversed(entries):
-        if finished >> entry.message.dest & 1:
-            return [entry]
-    return entries
+def _ample(enabled: list, finished: int, dest: list) -> list:
+    """The message ids to deliver among ``enabled``: the newest one whose
+    destination (``dest[id]``) is in the bitmask ``finished``, alone, if
+    there is one; otherwise all of them."""
+    for mid in reversed(enabled):
+        if finished >> dest[mid] & 1:
+            return [mid]
+    return enabled
+
+
+_NODE_BITS = 20  # the width of one process's state id in a dedupe key
+
+
+class _Tables:
+    """The interned parts of one search's configurations (collapse
+    compression: Holzmann, "State Compression in SPIN", SPIN 1997).
+
+    Each distinct process state gets a node id, interned by its
+    ``canonical_bytes``, and each distinct message a message id.  A
+    configuration in the search is a list of node ids in pid order, the
+    crashed process, and a bitmask of its buffered message ids; a search
+    storing millions of configurations meets a few hundred process states
+    and messages.  Its dedupe key is one exact int: process i's node id in
+    the ``_NODE_BITS``-wide field i, the crashed pid plus one (0 for none)
+    above them, and the buffer mask above that.  A node id that outgrows
+    its field raises instead of aliasing another state.
+
+    ``step`` makes each transition once, by ``apply_deliver``.  The tables
+    describe one scenario's configurations (the image leaves out the rules
+    and the final quorum), so they serve one ``explore`` call only.
+    """
+
+    def __init__(self, base: Scenario):
+        self.n = n = base.n
+        self.crash = base.crash
+        self.procs: list = []  # node id -> its Process, never mutated
+        self.images: list = []  # node id -> the process's canonical_bytes
+        self.finished: list = []  # node id -> _finished(process)
+        self.node_ids: dict = {}  # canonical_bytes -> node id
+        self.msgs: list = []  # message id -> Message
+        self.dest: list = []  # message id -> its destination
+        self.sleep_bits: list = []  # message id -> its sleep-set bit
+        self.msg_ids: dict = {}  # Message -> message id
+        self.steps: list = []  # message id -> {node id -> transition}
+        self.crash_shift = n * _NODE_BITS
+        self.mask_shift = self.crash_shift + n.bit_length()
+
+    def node(self, proc) -> int:
+        """The id of ``proc``'s state; a new state keeps ``proc`` itself,
+        which must not be mutated afterwards."""
+        image = proc.canonical_bytes()
+        node = self.node_ids.get(image)
+        if node is None:
+            node = len(self.procs)
+            if node >> _NODE_BITS:
+                raise ConsensusLabError(
+                    f"more than 2^{_NODE_BITS} process states: too many for the dedupe key"
+                )
+            self.node_ids[image] = node
+            self.procs.append(proc)
+            self.images.append(image)
+            self.finished.append(_finished(proc))
+        return node
+
+    def message(self, m) -> int:
+        mid = self.msg_ids.get(m)
+        if mid is None:
+            mid = self.msg_ids[m] = len(self.msgs)
+            self.msgs.append(m)
+            self.dest.append(m.dest)
+            self.sleep_bits.append(_key_bit(m, self.n))
+            self.steps.append({})
+        return mid
+
+    def start(self, cfg) -> tuple:
+        """The node ids, dedupe key and enabled message ids (in send order)
+        of a real configuration, whose processes become table entries."""
+        nodes = [self.node(p) for p in cfg.processes]
+        key = sum(node << (_NODE_BITS * i) for i, node in enumerate(nodes))
+        key += (0 if cfg.crashed is None else cfg.crashed + 1) << self.crash_shift
+        key += sum(1 << self.message(e.message) for e in cfg.buffer.values()) << self.mask_shift
+        return nodes, key, [self.message(e.message) for e in cfg.enabled.values()]
+
+    def step(self, nodes: list, mid: int, crashed: Optional[int]) -> tuple:
+        """The transition that delivers message ``mid`` at a configuration
+        with processes ``nodes`` and crashed process ``crashed``: (the
+        destination's new node id, the change of the dedupe key, the sent
+        message ids in send order, whether a crash bit, whether the
+        destination's decision or decision-stage entry changed).
+
+        Made by ``apply_deliver`` on a configuration whose buffer holds only
+        that message.  The destination's step reads its own state, the
+        message and the crash anchor, and nothing else of the
+        configuration: so a transition is keyed by (node id, message id)
+        alone.  A pending crash's victim is pending at every delivery to
+        it, since once crashed it gets none.
+        """
+        m = self.msgs[mid]
+        d, old = m.dest, nodes[m.dest]
+        cfg = Configuration(processes=[self.procs[i] for i in nodes], crashed=crashed,
+                            crash_pending=self.crash if crashed is None else None, shared=True)
+        entry = cfg.buffer[0] = cfg.enabled[0] = BufferEntry(m, 0)
+        cfg.next_send_index = 1
+        bites = bool(apply_deliver(cfg, entry))
+        new = self.node(cfg.processes[d])
+        sent = [self.message(e.message) for e in cfg.buffer.values()]
+        delta = (new - old) << (_NODE_BITS * d)
+        delta += (sum(1 << s for s in sent) - (1 << mid)) << self.mask_shift
+        if bites:
+            delta += (d + 1) << self.crash_shift
+        before, after = self.procs[old], self.procs[new]
+        changed = after.decided != before.decided or after.decision_entry != before.decision_entry
+        step = self.steps[mid][old] = (new, delta, sent, bites, changed)
+        return step
+
+    def configuration(self, nodes: list, crashed: Optional[int]) -> Configuration:
+        """A configuration with these processes and an empty buffer, for the
+        property checks, which read only the processes and the crashed one."""
+        return Configuration(processes=[self.procs[i] for i in nodes], crashed=crashed)
+
+    def image(self, nodes: list, crashed: Optional[int], key: int) -> bytes:
+        """The ``canonical_bytes`` of the configuration with ``nodes``,
+        ``crashed`` and dedupe key ``key``."""
+        mask = key >> self.mask_shift
+        return configuration_image(
+            [self.images[i] for i in nodes], crashed, self.crash is not None and crashed is None,
+            [self.msgs[i] for i in range(mask.bit_length()) if mask >> i & 1],
+        )
 
 
 def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict, seen: set,
-         steps: Optional[dict], sink: Optional[set] = None, sleep: int = 0):
+         tables: _Tables, sink: Optional[set] = None, sleep: int = 0):
     """Depth-first search over the delivery interleavings from ``cfg0``.
 
     ``prefix`` lists the messages delivered to reach ``cfg0``.  Returns
     (property, witness_events) or None.  Children are expanded
     newest-delivery-first, which reaches adversarial reorderings early.
-    ``seen`` holds the dedupe digests of the stored configurations; when a
-    depth bound is set the key also includes the depth.  ``sink`` collects
-    the digests of terminal and depth-frontier configurations, which lets
-    tests cross-validate the reductions.  ``steps`` is the step memo of
-    the ``explore`` call (see ``simulation.memo_step``; a few hundred
-    distinct steps recur in millions of deliveries on n=5), or None to
-    step every delivery afresh.
 
-    A delivery looks its step up once, and with dedupe on checks the
-    child's digest before building the child: from the parent's
-    accumulators and the memo entry's digest deltas, ``step_digest`` gives
-    the exact digest the child would have, so a delivery that reaches a
-    stored configuration costs no clone.  Otherwise the child is cloned and
-    takes that same step.  A delivery to the victim of a pending crash,
-    whose step depends on the crash anchor, is cloned and stepped afresh.
+    The search runs on ``tables``, the interned states of the ``explore``
+    call (see ``_Tables``): ``cfg0``'s processes and messages are interned,
+    and from there on a configuration is a list of node ids, its dedupe
+    key and its enabled message ids in send order.  A delivery looks its
+    transition up by (node id, message id), made once on a miss; the
+    child's key is the parent's plus the transition's delta, so a delivery
+    that reaches a stored configuration is a dict lookup, an integer
+    addition and a set probe, and no delivery clones or hashes anything.
+    ``seen`` holds the exact keys of the stored configurations.  Depth is
+    not part of the key even under a depth bound: every path to a
+    configuration has the same length (see below), so its depth is a
+    function of the configuration.  ``sink`` collects the images
+    (``Configuration.canonical_bytes``) of terminal and depth-frontier
+    configurations, which lets tests cross-validate the reductions.
 
     Two reductions cut the search.  Two deliveries are dependent iff they
     share a destination: a delivery changes only its destination's process
@@ -227,78 +341,69 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
 
     The safety check runs on a new configuration only if the delivery
     changed its destination's decision or decision-stage entry: the parent
-    passed it, and nothing else it reads can change.  The fields are
-    compared by value, not identity: a memoized step hands back a process
-    whose equal vectors may be other objects than the parent's.
+    passed it, and nothing else it reads can change.
     """
     values = list(base.values)
-    n = base.n
-    dedupe = bounds.dedupe
-    independent = _independent(n, dedupe)
+    independent = _independent(base.n)
     max_depth = bounds.max_depth
     depth0 = len(prefix)
-
-    def stored(d, depth) -> bool:
-        """Store digest ``d`` (at ``depth`` under a depth bound), or count a
-        dedupe hit if it is stored already."""
-        key = d if max_depth is None else (d, depth)
-        if key in seen:
-            stats["dedupe_hits"] += 1
-            return True
-        seen.add(key)
-        return False
-
     v = safety_violation(cfg0, values)
     if v is not None:
         return v[0], _events(prefix)
     stats["configs"] += 1
-    if dedupe:
-        stored(cfg0.dedupe_digest(), depth0)
-    finished0 = sum(1 << i for i, p in enumerate(cfg0.processes) if _finished(p))
-    # A frame is [configuration, children left, depth, sleep set plus the
-    # children tried so far, finished processes].  enabled_deliveries lists
-    # entries in send order; popping from the end expands the newest
-    # delivery first.
-    stack = [[cfg0, _ample(enabled_deliveries(cfg0), finished0), depth0, sleep, finished0]]
+    nodes0, key0, enabled0 = tables.start(cfg0)
+    seen.add(key0)
+    steps, dest, sleep_bits, msgs = tables.steps, tables.dest, tables.sleep_bits, tables.msgs
+    finished0 = sum(1 << i for i, node in enumerate(nodes0) if tables.finished[node])
+    # A frame is [node ids, dedupe key, enabled message ids in send order,
+    # crashed process, children left, depth, sleep set plus the children
+    # tried so far, finished processes].  The children are iterated from
+    # the end, so the newest delivery is expanded first.
+    stack = [[nodes0, key0, enabled0, cfg0.crashed,
+              reversed(_ample(enabled0, finished0, dest)), depth0, sleep, finished0]]
     path = list(prefix)
     while stack:
         frame = stack[-1]
-        cfg, children, depth, tried, finished = frame
-        if not children:
+        nodes, key, enabled, crashed, children, depth, tried, finished = frame
+        mid = next(children, -1)
+        if mid < 0:
             stack.pop()
             if len(path) > depth0:
                 path.pop()
             continue
-        entry = children.pop()
-        m = entry.message
-        bit = 1 << ((m.seq * n + m.sender) * n + m.dest)  # _key_bit(m, n), inlined
+        bit = sleep_bits[mid]
         if tried & bit:
             continue  # asleep
-        frame[3] = tried | bit
-        pending = cfg.crash_pending
-        if steps is not None and (pending is None or pending.victim != m.dest):
-            step = memo_step(steps, cfg.processes[m.dest], m)
-            if dedupe and stored(cfg.step_digest(entry, step), depth + 1):
-                continue
-            child = cfg.clone()
-            apply_step(child, entry, step)
-        else:
-            child = cfg.clone()
-            apply_deliver(child, entry)
-            if dedupe and stored(child.dedupe_digest(), depth + 1):
-                continue
+        frame[6] = tried | bit
+        d = dest[mid]
+        step = steps[mid].get(nodes[d])
+        if step is None:
+            step = tables.step(nodes, mid, crashed)
+        new, delta, sent, bites, changed = step
+        key += delta
+        if key in seen:
+            stats["dedupe_hits"] += 1
+            continue
+        seen.add(key)
         stats["configs"] += 1
-        path.append(m)
-        before, after = cfg.processes[m.dest], child.processes[m.dest]
-        if after.decided != before.decided or after.decision_entry != before.decision_entry:
-            v = safety_violation(child, values)
+        path.append(msgs[mid])
+        nodes = nodes.copy()
+        nodes[d] = new
+        nxt = enabled.copy()
+        nxt.remove(mid)
+        if bites:
+            crashed = d
+            nxt = [i for i in nxt if dest[i] != d]
+        nxt += sent if crashed is None else [i for i in sent if dest[i] != crashed]
+        if changed:
+            v = safety_violation(tables.configuration(nodes, crashed), values)
             if v is not None:
                 return v[0], _events(path)
-        nxt = enabled_deliveries(child)
         if not nxt:
             stats["terminals"] += 1
             if sink is not None:
-                sink.add(child.dedupe_digest())
+                sink.add(tables.image(nodes, crashed, key))
+            child = tables.configuration(nodes, crashed)
             status = STATUS_COMPLETE if child.all_alive_decided() else STATUS_STUCK
             v = terminal_violation(child, values, status)
             if v is not None:
@@ -312,14 +417,14 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
             stats["frontier"] += 1
             stats["truncated"] = True
             if sink is not None:
-                sink.add(child.dedupe_digest())
+                sink.add(tables.image(nodes, crashed, key))
             path.pop()
             continue
-        if not finished >> m.dest & 1 and _finished(after):
-            finished |= 1 << m.dest
-        if finished:
-            nxt = _ample(nxt, finished)
-        stack.append([child, nxt, depth + 1, tried & independent[m.dest], finished])
+        if not finished >> d & 1 and tables.finished[new]:
+            finished |= 1 << d
+        children = _ample(nxt, finished, dest) if finished else nxt
+        stack.append([nodes, key, nxt, crashed, reversed(children), depth + 1,
+                      tried & independent[d], finished])
     return None
 
 
@@ -335,16 +440,16 @@ def _new_stats(budget: int) -> dict:
     }
 
 
-def _explore_chunk(args, steps: Optional[dict] = None) -> dict:
-    """Search the roots ``first_keys`` with the search's step memo
-    ``steps``; a pool job, which gets none, builds its own."""
+def _explore_chunk(args, tables: Optional[_Tables] = None) -> dict:
+    """Search the roots ``first_keys`` on the search's interned states
+    ``tables``; a pool job, which gets none, builds its own."""
     base, bounds, first_keys, budget = args
-    steps = {} if steps is None else steps
+    tables = _Tables(base) if tables is None else tables
     cfg0, _ = new_configuration(
         base.n, list(base.values), crash=base.crash, rules=base.rules,
         final_quorum=base.final_quorum,
     )
-    independent = _independent(base.n, bounds.dedupe)
+    independent = _independent(base.n)
     stats = _new_stats(budget)
     seen: set = set()
     sink: set = set()
@@ -358,7 +463,7 @@ def _explore_chunk(args, steps: Optional[dict] = None) -> dict:
         )
         m = entry.message
         apply_deliver(child, entry)
-        found = _dfs(child, base, bounds, [m], stats, seen, steps, sink,
+        found = _dfs(child, base, bounds, [m], stats, seen, tables, sink,
                      tried & independent[m.dest])
         if found is not None or stats["exhausted"]:
             break
@@ -383,8 +488,8 @@ def explore(
     an equal share of ``max_configs`` and its own seen set, so a state
     reachable from several chunks is counted once per chunk: the ``configs``
     and ``terminals`` counts rise with ``chunks``, while the set of reached
-    states collected in ``reach_sink`` does not change unless a chunk runs
-    out of budget.
+    states collected in ``reach_sink``, as configuration images, does not
+    change unless a chunk runs out of budget.
 
     Two reductions cut the search (see ``_dfs``).  Sleep sets skip
     deliveries that would reach an already stored configuration (two
@@ -396,15 +501,13 @@ def explore(
     a violation iff that search does, but stores fewer configurations
     once some process has finished.  ``stats["dedupe_hits"]`` counts the
     deliveries that reached a stored configuration, so ``configs +
-    dedupe_hits`` is the number of deliveries made.  With ``dedupe`` off
-    there is no state cache and no sleep set, and the one-delivery rule
-    still applies.
+    dedupe_hits`` is the number of deliveries made.
 
-    Process steps are memoized for the length of the call: one memo serves
-    every root of every chunk searched in this process, a pool job builds
-    its own, and none outlives the call.  The memo's key, a process image,
-    leaves out the rules and the final quorum, so a memo serves one
-    scenario only.
+    The search runs on interned states (see ``_Tables``), and its dedupe
+    key is exact: two configurations share a key iff they have the same
+    image.  One set of tables serves every root of every chunk searched in
+    this process, a pool job builds its own, and none outlives the call,
+    because a process image leaves out the rules and the final quorum.
     """
     bounds.validate()
     cfg0, _ = new_configuration(
@@ -413,11 +516,11 @@ def explore(
     )
     roots = list(reversed(enabled_deliveries(cfg0)))  # newest first
     root_keys = [(e.message.sender, e.message.seq, e.message.dest) for e in roots]
-    steps: dict = {}  # this call's step memo: one scenario, never kept
+    tables = _Tables(scenario)  # this call's interned states: one scenario, never kept
 
     if chunks <= 1:
         stats = _new_stats(bounds.max_configs)
-        found = _dfs(cfg0, scenario, bounds, [], stats, set(), steps, sink=reach_sink)
+        found = _dfs(cfg0, scenario, bounds, [], stats, set(), tables, sink=reach_sink)
         return _verdict_from(scenario, found, [stats], stats["truncated"])
 
     groups = [root_keys[i::chunks] for i in range(chunks)]
@@ -425,7 +528,7 @@ def explore(
     budget = max(1, bounds.max_configs // len(groups))
     jobs = [(scenario, bounds, g, budget) for g in groups]
     if workers <= 1:
-        results = [_explore_chunk(job, steps) for job in jobs]
+        results = [_explore_chunk(job, tables) for job in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_explore_chunk, jobs))

@@ -465,8 +465,8 @@ class Process:
 
     def canonical_bytes(self) -> bytes:
         """Deterministic byte image of the full state: the process's only
-        image, from which ``state_key``, the explorer's step memo and
-        ``Configuration.config_hash`` are derived.
+        image, from which ``state_key``, the explorer's node ids and
+        ``Configuration.canonical_bytes`` are derived.
 
         Cached between mutations: cloning a configuration and delivering one
         message recomputes the image of the one touched process only.  The

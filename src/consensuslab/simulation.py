@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError, SimulatorBug
@@ -33,16 +33,6 @@ from .protocol import (
     Rules,
     encode_message,
 )
-
-_ACC_MASK = (1 << 128) - 1
-
-
-@lru_cache(maxsize=65536)
-def _entry_digest(message: Message) -> int:
-    return int.from_bytes(
-        hashlib.blake2b(encode_message(message), digest_size=16).digest(), "big"
-    )
-
 
 class CrashPoint(str, Enum):
     BEFORE = "before"
@@ -162,11 +152,6 @@ class Configuration:
     crash_pending: Optional[CrashSpec] = None
     event_count: int = 0
     shared: bool = False  # processes are shared with another configuration
-    # Lazy digests for dedupe_digest, kept up to date once it has run: an
-    # order-independent multiset digest of the buffer and the sum of the
-    # per-process state digests.  A plain run never computes them.
-    buf_acc: Optional[int] = None
-    proc_acc: Optional[int] = None
 
     @property
     def n(self) -> int:
@@ -191,61 +176,41 @@ class Configuration:
         )
 
     def canonical_bytes(self) -> bytes:
-        """Deterministic image of the configuration.
-
-        The buffer is keyed by (sender, seq, dest), not by send index, and
-        the event count is excluded: configurations reached by different
-        but equivalent histories collapse to the same image.
-        """
-        parts = [p.canonical_bytes() for p in self.processes]
-        parts.append(b"#%d#%d" % (-1 if self.crashed is None else self.crashed,
-                                  0 if self.crash_pending is None else 1))
-        entries = sorted(
-            self.buffer.values(),
-            key=lambda e: (e.message.sender, e.message.seq, e.message.dest),
+        """Deterministic image of the configuration; see ``configuration_image``."""
+        return configuration_image(
+            [p.canonical_bytes() for p in self.processes], self.crashed,
+            self.crash_pending is not None, [e.message for e in self.buffer.values()],
         )
-        parts.extend(encode_message(e.message) for e in entries)
-        return b"\x1e".join(parts)
 
     def config_hash(self) -> str:
         """Lowercase hex of the 64-bit canonical hash (used in traces)."""
         return hashlib.blake2b(self.canonical_bytes(), digest_size=8).hexdigest()
 
     def dedupe_digest(self) -> int:
-        """128-bit digest used for state-space deduplication.
-
-        Equivalent configurations collapse: both the buffer and the process
-        states enter through order-independent accumulators, computed on the
-        first call and maintained incrementally after it (clones inherit
-        them), so expanding one delivery re-hashes only the one process it
-        touched.  Dedupe is hash-only: modelling blake2b as a random
-        function, two distinct configurations differ by at least one
-        process or buffer digest with an odd coefficient, so they share a
-        digest with probability 2^-128, and a search storing N
-        configurations merges two distinct ones with probability at most
-        N^2 / 2^129 (below 10^-25 for N = 5,000,000).
-        """
-        if self.proc_acc is None:
-            self.proc_acc = sum(p.state_key() for p in self.processes) & _ACC_MASK
-        if self.buf_acc is None:
-            self.buf_acc = sum(_entry_digest(e.message) for e in self.buffer.values()) & _ACC_MASK
-        return self._fold(self.proc_acc, self.buf_acc)
-
-    def step_digest(self, entry: BufferEntry, step: tuple) -> int:
-        """The ``dedupe_digest`` that ``apply_step(self.clone(), entry, step)``
-        would give, computed from this configuration's accumulators and the
-        memo entry's digest deltas without building the child: integer
-        arithmetic only.  ``dedupe_digest`` must have run on ``self``.
-        """
-        _, _, proc_delta, buf_delta = step
-        return self._fold(self.proc_acc + proc_delta, self.buf_acc + buf_delta)
-
-    def _fold(self, proc_acc: int, buf_acc: int) -> int:
-        tail = (
-            (0 if self.crashed is None else self.crashed + 1)
-            | ((0 if self.crash_pending is None else 1) << 8)
+        """128-bit blake2b digest of ``canonical_bytes``.  The explorer
+        deduplicates by an exact key instead (see ``explore._Tables``)."""
+        return int.from_bytes(
+            hashlib.blake2b(self.canonical_bytes(), digest_size=16).digest(), "big"
         )
-        return (proc_acc + 0x9E3779B97F4A7C15 * buf_acc + tail) & _ACC_MASK
+
+
+_BUFFER_ORDER = itemgetter(0, 2, 1)  # a message's (sender, seq, dest)
+
+
+def configuration_image(process_images: list, crashed: Optional[int], pending: bool,
+                        messages: list) -> bytes:
+    """The image of a configuration from its parts: the processes' images
+    in pid order, the crashed process, whether a crash is still pending, and
+    the buffered messages in any order.
+
+    The buffer is keyed by (sender, seq, dest), not by send index, and the
+    event count is excluded: configurations reached by different but
+    equivalent histories collapse to the same image.
+    """
+    parts = list(process_images)
+    parts.append(b"#%d#%d" % (-1 if crashed is None else crashed, pending))
+    parts.extend(map(encode_message, sorted(messages, key=_BUFFER_ORDER)))
+    return b"\x1e".join(parts)
 
 
 def new_configuration(
@@ -293,7 +258,7 @@ def _materialize(cfg: Configuration, sender: int, broadcasts: list) -> list:
     """
     events = []
     buffer, enabled, crashed = cfg.buffer, cfg.enabled, cfg.crashed
-    index, acc = cfg.next_send_index, cfg.buf_acc
+    index = cfg.next_send_index
     peers = cfg.processes[sender].peers
     for kind, payload, seq in broadcasts:
         spec = cfg.crash_pending
@@ -310,13 +275,11 @@ def _materialize(cfg: Configuration, sender: int, broadcasts: list) -> list:
             if d != crashed:
                 enabled[index] = entry
             index += 1
-            if acc is not None:
-                acc = (acc + _entry_digest(msg)) & _ACC_MASK
         if bite:
             _crash(cfg, sender)
             events.append(CrashBite(sender, spec.point, spec.kind))
             break  # the victim emits nothing further
-    cfg.next_send_index, cfg.buf_acc = index, acc
+    cfg.next_send_index = index
     return events
 
 
@@ -332,74 +295,11 @@ def enabled_deliveries(cfg: Configuration) -> list:
     return list(cfg.enabled.values())
 
 
-def memo_step(steps: dict, proc: Process, message: Message) -> tuple:
-    """The step memo's entry for delivering ``message`` to ``proc``, made on a miss.
-
-    ``steps`` maps (the process's canonical image, the message) to the
-    stepped process, the messages its step sends, in the order
-    ``_materialize`` appends them for a sender with no pending crash, and
-    two digest deltas: the stepped process's ``state_key`` less ``proc``'s,
-    and the sum of the sent messages' buffer digests less the delivered
-    one's.  Both are constant per (image, message), so a delivery by the
-    entry moves the accumulators of ``dedupe_digest`` by integer additions
-    alone.  The stepped process is shared by every configuration that takes
-    the step and is never mutated.  The image leaves out ``rules`` and
-    ``final_quorum``, so a memo must serve one scenario only.
-    """
-    key = (proc.canonical_bytes(), message)
-    step = steps.get(key)
-    if step is None:
-        stepped = proc.clone()
-        sends = [
-            Message(proc.pid, d, seq, kind, payload)
-            for released in stepped.ingest(message)
-            for kind, payload, seq in stepped.process(released)
-            for d in proc.peers
-        ]
-        sent = sum(_entry_digest(m) for m in sends)
-        step = steps[key] = (
-            stepped,
-            sends,
-            stepped.state_key() - proc.state_key(),
-            sent - _entry_digest(message),
-        )
-    return step
-
-
-def apply_step(cfg: Configuration, entry: BufferEntry, step: tuple) -> None:
-    """Deliver ``entry`` by its step memo entry ``step`` (see ``memo_step``):
-    swap in the stepped process, append its sends and add the digest
-    deltas, building no message and hashing nothing.
-
-    Only for an enabled entry of a configuration made by ``clone``, whose
-    processes are copied before any mutation, and a destination that is
-    not a pending crash victim, whose step depends on the crash anchor, so
-    no crash bites.
-    """
-    message, at = entry
-    buffer, enabled, crashed = cfg.buffer, cfg.enabled, cfg.crashed
-    del buffer[at]
-    del enabled[at]
-    stepped, sends, proc_delta, buf_delta = step
-    cfg.processes[message.dest] = stepped
-    index = cfg.next_send_index
-    for msg in sends:
-        added = buffer[index] = BufferEntry(msg, index)
-        if msg.dest != crashed:
-            enabled[index] = added
-        index += 1
-    cfg.next_send_index = index
-    if cfg.proc_acc is not None:  # set together with buf_acc by dedupe_digest
-        cfg.proc_acc = (cfg.proc_acc + proc_delta) & _ACC_MASK
-        cfg.buf_acc = (cfg.buf_acc + buf_delta) & _ACC_MASK
-    cfg.event_count += 1
-
-
 def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
     """Deliver one entry atomically; returns any crash events it triggered.
 
-    The destination steps afresh.  The explorer delivers a memoized step
-    with ``apply_step`` instead.
+    The only step implementation: runs, replays and the explorer's
+    transition table (``explore._Tables.step``) all deliver through it.
     """
     message, at = entry
     if cfg.buffer.get(at) is not entry:
@@ -409,10 +309,7 @@ def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
         raise SimulatorBug("delivery to a crashed process")
     del cfg.buffer[at]
     del cfg.enabled[at]
-    if cfg.buf_acc is not None:
-        cfg.buf_acc = (cfg.buf_acc - _entry_digest(message)) & _ACC_MASK
     proc = cfg.processes[dest]
-    old_key = proc.state_key() if cfg.proc_acc is not None else 0
     if cfg.shared:
         proc = cfg.processes[dest] = proc.clone()
     events = []
@@ -422,8 +319,6 @@ def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
             events.extend(_materialize(cfg, dest, broadcasts))
             if cfg.crashed == dest:
                 break  # victim died mid-step; it takes no further steps
-    if cfg.proc_acc is not None:
-        cfg.proc_acc = (cfg.proc_acc - old_key + proc.state_key()) & _ACC_MASK
     cfg.event_count += 1
     return events
 

@@ -152,6 +152,13 @@ def test_explore_small_budget_exits_three(clean_scenario_file):
     assert main(["explore", clean_scenario_file, "--max-configs", "200"]) == 3
 
 
+def test_explore_no_dedupe_is_a_usage_error(clean_scenario_file, capsys):
+    # The flag is gone: the explorer always deduplicates, by an exact key.
+    assert main(["explore", clean_scenario_file, "--no-dedupe"]) == 1
+    err = capsys.readouterr().err
+    assert "--no-dedupe" in err and "Traceback" not in err
+
+
 def test_commute_exits_zero(capsys):
     assert main(["commute", "--n", "5", "--tie-rule", "1"]) == 0
     assert "192 instances" in capsys.readouterr().out

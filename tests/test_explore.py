@@ -13,6 +13,8 @@ from consensuslab.explore import (
     OUTCOME_BOUND,
     OUTCOME_COUNTEREXAMPLE,
     ExploreBounds,
+    _NODE_BITS,
+    _Tables,
     _dfs,
     _finished,
     _fuzz_outcomes,
@@ -30,7 +32,9 @@ from consensuslab.properties import (
 )
 from consensuslab.protocol import MsgKind, Rules
 from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
+from consensuslab.errors import ConsensusLabError
 from consensuslab.simulation import (
+    BufferEntry,
     Configuration,
     CrashPoint,
     CrashSpec,
@@ -61,14 +65,17 @@ def base_scenario(**kw):
     )
 
 
-def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, steps, sink=None, sleep=0):
+def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, tables, sink=None, sleep=0):
     """The plain search, as an oracle for ``explore._dfs``: every enabled
-    delivery is cloned and stepped afresh, and every new configuration is
-    safety-checked (no step memo, no sleep set and no one-delivery rule)."""
+    delivery is cloned and stepped afresh, every new configuration is
+    safety-checked, and configurations are keyed by their image, with the
+    depth under a depth bound (no interned states, no sleep set and no
+    one-delivery rule)."""
     values = list(base.values)
 
     def key(cfg, depth):
-        return cfg.dedupe_digest() if bounds.max_depth is None else (cfg.dedupe_digest(), depth)
+        image = cfg.canonical_bytes()
+        return image if bounds.max_depth is None else (image, depth)
 
     def events(messages):
         return [Deliver(m.sender, m.seq, m.dest, m.kind) for m in messages]
@@ -77,8 +84,7 @@ def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, steps, sink=None, sle
     if v is not None:
         return v[0], events(prefix)
     stats["configs"] += 1
-    if bounds.dedupe:
-        seen.add(key(cfg0, len(prefix)))
+    seen.add(key(cfg0, len(prefix)))
     stack = [(cfg0, enabled_deliveries(cfg0), len(prefix))]
     path = list(prefix)
     while stack:
@@ -91,12 +97,11 @@ def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, steps, sink=None, sle
         entry = children.pop()
         child = cfg.clone()
         apply_deliver(child, child.buffer[entry.send_index])
-        if bounds.dedupe:
-            k = key(child, depth + 1)
-            if k in seen:
-                stats["dedupe_hits"] += 1
-                continue
-            seen.add(k)
+        k = key(child, depth + 1)
+        if k in seen:
+            stats["dedupe_hits"] += 1
+            continue
+        seen.add(k)
         stats["configs"] += 1
         path.append(entry.message)
         v = safety_violation(child, values)
@@ -106,7 +111,7 @@ def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, steps, sink=None, sle
         if not nxt:
             stats["terminals"] += 1
             if sink is not None:
-                sink.add(child.dedupe_digest())
+                sink.add(child.canonical_bytes())
             status = STATUS_COMPLETE if child.all_alive_decided() else STATUS_STUCK
             v = terminal_violation(child, values, status)
             if v is not None:
@@ -120,11 +125,22 @@ def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, steps, sink=None, sle
             stats["frontier"] += 1
             stats["truncated"] = True
             if sink is not None:
-                sink.add(child.dedupe_digest())
+                sink.add(child.canonical_bytes())
             path.pop()
             continue
         stack.append((child, nxt, depth + 1))
     return None
+
+
+def sleep_set_dfs(*args, **kw):
+    """``explore._dfs`` without the one-delivery rule (``_ample`` returns
+    every enabled delivery): it stores the plain search's configurations."""
+    module = importlib.import_module("consensuslab.explore")
+    ample, module._ample = module._ample, lambda enabled, *_: enabled
+    try:
+        return module._dfs(*args, **kw)
+    finally:
+        module._ample = ample
 
 
 class _Recording:
@@ -168,6 +184,25 @@ def starved_runs(n):
         base = Scenario(n=n, values=tuple(default_values(n)), rules=rules)
         for starve in range(n):
             yield replace(base, scheduler=SchedulerSpec(type="adversarial-lifo", starve=starve))
+
+
+def decoded(tables, key, crash):
+    """The node ids and the configuration that the dedupe ``key`` stores,
+    decoded field by field; buffer entries get send indices in message-id
+    order, which no image or step depends on."""
+    n = tables.n
+    nodes = [key >> (_NODE_BITS * i) & ((1 << _NODE_BITS) - 1) for i in range(n)]
+    crashed = (key >> tables.crash_shift & ((1 << n.bit_length()) - 1)) - 1
+    crashed = None if crashed < 0 else crashed
+    mask = key >> tables.mask_shift
+    cfg = Configuration(processes=[tables.procs[i] for i in nodes], crashed=crashed,
+                        crash_pending=crash if crashed is None else None, shared=True)
+    for index, m in enumerate(tables.msgs[i] for i in range(mask.bit_length()) if mask >> i & 1):
+        entry = cfg.buffer[index] = BufferEntry(m, index)
+        if m.dest != crashed:
+            cfg.enabled[index] = entry
+        cfg.next_send_index = index + 1
+    return nodes, cfg
 
 
 class TestCrashGrid:
@@ -242,19 +277,26 @@ class TestExplore:
         assert one.prop == many.prop
         assert one.stats == many.stats
 
-    def test_dedupe_on_off_reach_the_same_states(self):
-        # Cross-validation at a shallow depth bound: the set of reached
-        # frontier/terminal state digests is identical with and without
-        # deduplication; dedupe only removes revisits.
-        scenario = base_scenario()
-        bounds_on = ExploreBounds(max_depth=4, max_configs=1_000_000, dedupe=True)
-        bounds_off = ExploreBounds(max_depth=4, max_configs=1_000_000, dedupe=False)
-        reached_on: set = set()
-        reached_off: set = set()
-        explore(scenario, bounds_on, reach_sink=reached_on)
-        explore(scenario, bounds_off, reach_sink=reached_off)
-        assert reached_on == reached_off
-        assert len(reached_on) > 0
+    @pytest.mark.parametrize(
+        "crash", [None, CrashSpec(2, CrashPoint.DURING, MsgKind.FIRST, frozenset({0, 1}))]
+    )
+    def test_depth_bounded_search_reaches_the_unreduced_states(self, monkeypatch, crash):
+        # At depth 4, crash-free and in a crash cell, the search reaches the
+        # frontier and terminal images of the plain search, which keys each
+        # configuration by its image and depth, and stores the same
+        # configurations: the exact key needs no depth.
+        module = importlib.import_module("consensuslab.explore")
+        scenario = base_scenario(crash=crash)
+        bounds = ExploreBounds(max_depth=4, max_configs=1_000_000)
+        results = []
+        for dfs in (module._dfs, unreduced_dfs):
+            monkeypatch.setattr(module, "_dfs", dfs)
+            sink: set = set()
+            stats = dict(explore(scenario, bounds, reach_sink=sink).stats)
+            del stats["dedupe_hits"]
+            results.append((stats, sink))
+        assert results[0] == results[1]
+        assert len(results[0][1]) > 1000
 
     @pytest.mark.parametrize(
         "crash, reached",
@@ -279,92 +321,73 @@ class TestExplore:
             if reached is not None:
                 assert len(sinks[0]) == reached[depth]
 
-    def test_memoized_steps_do_not_change_the_search(self, monkeypatch):
-        # The step memo shared by every root of every chunk, and the dedupe
-        # check made from it before the clone, must be invisible: every
-        # verdict, witness, count and reached state equals that of a search
-        # that clones and steps each delivery afresh, with and without
-        # crashes, under the mutants, chunked or not, in this process or in
-        # a pool (whose forked workers inherit the patched search).
-        scenarios = [base_scenario()]
-        scenarios += [base_scenario(crash=c) for c in crash_grid(5)[1::17]]
-        scenarios += [
-            replace(base_scenario(), crash=CrashSpec(4, CrashPoint.DURING, MsgKind.FIRST,
-                                                     frozenset({0})), rules=rules)
-            for rules in MUTANTS.values()
-        ]
-        runs = [(1, 1), (4, 1), (4, 2), (16, 1), (16, 2)]
-
-        def search_all():
-            out = []
-            for scenario in scenarios:
-                for bounds in (ExploreBounds(max_configs=1000), ExploreBounds(max_depth=3)):
-                    for chunks, workers in runs:
-                        sink: set = set()
-                        v = explore(scenario, bounds, chunks=chunks, workers=workers,
-                                    reach_sink=sink)
-                        out.append((v.outcome, v.prop, v.stats, v.trace and v.trace.to_jsonl(),
-                                    sink))
-            return out
-
-        memoized = search_all()
-        module = importlib.import_module("consensuslab.explore")
-        dfs = module._dfs
-
-        def afresh(cfg0, base, bounds, prefix, stats, seen, steps, *rest, **kw):
-            return dfs(cfg0, base, bounds, prefix, stats, seen, None, *rest, **kw)
-
-        def no_memo(*args):
-            raise AssertionError("the oracle looked a step up")
-
-        monkeypatch.setattr(module, "_dfs", afresh)
-        monkeypatch.setattr(module, "memo_step", no_memo)
-        assert search_all() == memoized
-        assert any(v[0] == OUTCOME_COUNTEREXAMPLE for v in memoized)
-
     @pytest.mark.parametrize("n", [5, 6])
-    def test_probed_digest_is_the_built_childs_digest(self, monkeypatch, n):
-        # The dedupe check before the clone computes the child's digest from
-        # the parent's accumulators and the memo entry.  Inside real
-        # searches, it must equal the digest of the child built by a clone
-        # and a fresh step, for every probed delivery: crash-free, in every
-        # crash cell of one victim, and under the four mutants.  Deliveries
-        # to a pending crash victim must never be probed; they take the
-        # fallback path, clone first and step afresh.
-        values = tuple(default_values(n))
-        base = Scenario(n=n, values=values)
-        mid = CrashSpec(n - 1, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
+    def test_interned_transitions_are_fresh_deliveries(self, n):
+        # Every transition a search interns must be what apply_deliver does
+        # on a real configuration: crash-free, in every crash cell of one
+        # victim (deliveries to a pending crash victim included), and under
+        # the four mutants.  The dedupe key is exact, so every stored key
+        # decodes to its configuration.  At each of them, every enabled
+        # delivery whose transition is in the tables is made afresh on a
+        # clone, once per transition and crashed process, and must give the
+        # same process image, the same sent messages in send order, the same
+        # crash outcome and decision change, and a child whose image is that
+        # of the parent's key plus the transition's delta.
+        base = Scenario(n=n, values=tuple(default_values(n)))
+        during = CrashSpec(n - 1, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
         scenarios = [base] + [base.with_crash(c) for c in crash_grid(n)[1:] if c.victim == 1]
         scenarios += [replace(base, crash=crash, rules=rules)
-                      for rules in MUTANTS.values() for crash in (None, mid)]
-        module = importlib.import_module("consensuslab.explore")
-        step_digest, plain = Configuration.step_digest, module.apply_deliver
-        probes, fallbacks = [], []
-
-        def checked(cfg, entry, step):
-            pending = cfg.crash_pending
-            assert pending is None or pending.victim != entry.message.dest
-            built = cfg.clone()
-            plain(built, entry)
-            probed = step_digest(cfg, entry, step)
-            assert probed == built.dedupe_digest()
-            probes.append(probed)
-            return probed
-
-        def counted(cfg, entry):
-            pending = cfg.crash_pending
-            if pending is not None and pending.victim == entry.message.dest:
-                fallbacks.append(entry)
-            return plain(cfg, entry)
-
-        monkeypatch.setattr(Configuration, "step_digest", checked)
-        monkeypatch.setattr(module, "apply_deliver", counted)
+                      for rules in MUTANTS.values() for crash in (None, during)]
+        made = bites = to_victim = 0
         for scenario in scenarios:
-            before = len(probes)
-            explore(scenario, ExploreBounds(max_configs=400), chunks=2)
-            explore(scenario, ExploreBounds(max_depth=3, max_configs=400))
-            assert len(probes) > before
-        assert fallbacks and len(probes) > 10 * len(scenarios)
+            tables = _Tables(scenario)
+            checked = set()
+            for bounds in (ExploreBounds(max_configs=200),
+                           ExploreBounds(max_depth=3, max_configs=200)):
+                cfg0, _ = new_configuration(n, list(scenario.values), crash=scenario.crash,
+                                            rules=scenario.rules)
+                seen: set = set()
+                _dfs(cfg0, scenario, bounds, [], _new_stats(bounds.max_configs), seen, tables)
+                for key in seen:
+                    nodes, cfg = decoded(tables, key, scenario.crash)
+                    for entry in enabled_deliveries(cfg):
+                        m = entry.message
+                        d, mid = m.dest, tables.msg_ids[m]
+                        step = tables.steps[mid].get(nodes[d])
+                        if step is None or (mid, nodes[d], cfg.crashed) in checked:
+                            continue
+                        new, delta, sent, bit, changed = step
+                        child = cfg.clone()
+                        events = apply_deliver(child, child.buffer[entry.send_index])
+                        before, after = cfg.processes[d], child.processes[d]
+                        assert tables.images[new] == after.canonical_bytes()
+                        assert [tables.msgs[i] for i in sent] == [
+                            e.message for e in child.buffer.values()
+                            if e.send_index >= cfg.next_send_index
+                        ]
+                        assert bit == bool(events) == (cfg.crashed is None and child.crashed == d)
+                        assert changed == (after.decided != before.decided
+                                           or after.decision_entry != before.decision_entry)
+                        assert decoded(tables, key + delta, scenario.crash)[1].canonical_bytes() \
+                            == child.canonical_bytes()
+                        checked.add((mid, nodes[d], cfg.crashed))
+                        bites += bit
+                        pending = cfg.crash_pending
+                        to_victim += pending is not None and pending.victim == d
+            interned = {(i, node) for i, table in enumerate(tables.steps) for node in table}
+            assert {(i, node) for i, node, _ in checked} == interned, scenario
+            made += len(interned)
+        assert bites and to_victim > bites and made > 100 * len(scenarios)
+
+    def test_a_node_id_that_outgrows_its_key_field_raises(self, monkeypatch):
+        # An id wider than its field would alias another configuration's
+        # key; the search must stop with an error instead.
+        module = importlib.import_module("consensuslab.explore")
+        monkeypatch.setattr(module, "_NODE_BITS", 4)
+        with pytest.raises(ConsensusLabError, match="process states"):
+            explore(base_scenario(), ExploreBounds(max_configs=1000))
+        monkeypatch.setattr(module, "_NODE_BITS", _NODE_BITS)
+        assert explore(base_scenario(), ExploreBounds(max_configs=1000)).stats["configs"] == 1000
 
     def test_sleep_sets_match_the_unreduced_search(self, monkeypatch):
         # The soundness gate of the sleep sets: with and without crashes,
@@ -451,41 +474,68 @@ class TestExplore:
         assert pairs > 1000
 
     def test_one_delivery_rule_matches_the_unreduced_search(self):
-        # The soundness gate of the one-delivery rule.  From the
-        # configuration ten deliveries before the end of seeded runs (the
-        # protocol and the four mutants, crash-free and in crash cells), an
-        # exhaustive search by _dfs and by the plain search must agree on
-        # whether there is a violation; each witness must replay and fail
-        # its property; without a violation both must reach the same
-        # terminal configurations; and _dfs must store fewer configurations
-        # in total.
-        back = 10
-        configs = {"reduced": 0, "plain": 0}
-        violations = clean = 0
+        # The soundness gate of the one-delivery rule: exhaustive searches
+        # by _dfs and by an oracle from configurations of recorded runs.
+        # - Ten deliveries before the end of seeded runs (the protocol and
+        #   the four mutants, crash-free and in crash cells), where most
+        #   decisions have been made: the plain search.
+        # - The first configuration of the same runs in which some process
+        #   has decided and sent its second proposal, where others may still
+        #   be undecided or owe their second proposal: the sleep-set-only
+        #   search, which stores the plain search's configurations far more
+        #   cheaply (the ordering mutant is left out: its graphs from there
+        #   reach millions of configurations).
+        # - Two deliveries before a crash bites at the victim's second
+        #   proposal, in runs that starve another process, so that the
+        #   victim decides first and owes its second proposal: the order of
+        #   its deliveries decides what it has recorded when it dies.  The
+        #   sleep-set-only search again.
+        # Both searches must agree on whether there is a violation; each
+        # witness must replay and fail its property; without a violation
+        # both must reach the same terminal configurations; and _dfs must
+        # store fewer configurations in total.
+        starts = []
         for scenario in seeded_runs(5, 12):
             picks = recorded_picks(scenario)
-            cfg0 = picks[-back][0]
-            prefix = [m for _, m in picks[:-back]]
-            results = {}
-            for name, dfs in (("reduced", _dfs), ("plain", unreduced_dfs)):
+            starts.append((scenario, picks, len(picks) - 10, unreduced_dfs))
+            finished = [i for i, (cfg, _) in enumerate(picks)
+                        if any(p.second_sent and p.decided is not None for p in cfg.processes)]
+            if finished and scenario.rules != MUTANTS["ordering"]:
+                starts.append((scenario, picks, finished[0], sleep_set_dfs))
+        for starve in range(5):
+            scenario = Scenario(
+                n=5, values=tuple(VALUES),
+                crash=CrashSpec((starve + 1) % 5, CrashPoint.BEFORE, MsgKind.SECOND),
+                scheduler=SchedulerSpec(type="adversarial-lifo", starve=starve),
+            )
+            picks = recorded_picks(scenario)
+            bite = next(i for i, (cfg, _) in enumerate(picks) if cfg.crashed is not None)
+            starts.append((scenario, picks, bite - 2, sleep_set_dfs))
+        configs = {unreduced_dfs: [0, 0], sleep_set_dfs: [0, 0]}
+        violations = clean = 0
+        for scenario, picks, at, oracle in starts:
+            results = []
+            for side, dfs in enumerate((_dfs, oracle)):
                 stats, sink = _new_stats(10**7), set()
-                found = dfs(cfg0.clone(), scenario, ExploreBounds(), prefix, stats, set(), {}, sink)
+                found = dfs(picks[at][0].clone(), scenario, ExploreBounds(),
+                            [m for _, m in picks[:at]], stats, set(), _Tables(scenario), sink)
                 assert not stats["truncated"]
-                configs[name] += stats["configs"]
-                results[name] = (found, sink)
-            (found, sink), (plain_found, plain_sink) = results["reduced"], results["plain"]
-            assert (found is None) == (plain_found is None), (scenario.rules, scenario.scheduler.seed)
+                configs[oracle][side] += stats["configs"]
+                results.append((found, sink))
+            (found, sink), (oracle_found, oracle_sink) = results
+            where = (oracle.__name__, scenario, at)
+            assert (found is None) == (oracle_found is None), where
             if found is None:
-                assert sink == plain_sink
+                assert sink == oracle_sink, where
                 clean += 1
                 continue
             violations += 1
-            for prop, events in (found, plain_found):
+            for prop, events in (found, oracle_found):
                 witness = run(scripted(scenario, events))
                 assert prop in check_properties(witness).failures()
                 assert replays_identically(witness)
         assert violations and clean
-        assert configs["reduced"] < configs["plain"]
+        assert all(reduced < oracle for reduced, oracle in configs.values())
 
     @pytest.mark.parametrize("field", ["decided", "decision_entry"])
     def test_incremental_safety_check_sees_both_fields(self, monkeypatch, field):
@@ -506,7 +556,7 @@ class TestExplore:
         for dfs in (module._dfs, unreduced_dfs):
             cfg0, _ = new_configuration(5, list(VALUES), crash=scenario.crash)
             found.append(dfs(cfg0, scenario, ExploreBounds(), [], module._new_stats(10**6), set(),
-                             {}))
+                             _Tables(scenario)))
         assert found[0] is not None and found[0][0] == field
         assert found[0] == found[1]
 

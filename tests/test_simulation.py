@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensuslab.errors import ConfigError, SimulatorBug
-from consensuslab.explore import fuzz, minimize
-from consensuslab.findings import racing_scenario
+from consensuslab.explore import _Tables
 from consensuslab.protocol import Message, MsgKind
 from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
 from consensuslab.schedulers import SeededRandomScheduler
@@ -17,14 +16,11 @@ from consensuslab.simulation import (
     CrashSpec,
     CrashPoint,
     Deliver,
-    _entry_digest,
     apply_deliver,
-    apply_step,
     enabled_deliveries,
-    memo_step,
     new_configuration,
 )
-from consensuslab.trace import Trace, replay, replays_identically, run, run_config, run_raw
+from consensuslab.trace import Trace, replays_identically, run, run_config
 
 VALUES = default_values(5)
 
@@ -87,51 +83,49 @@ class TestBuffer:
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_memoized_steps_match_plain_steps(self, n):
-        # A step taken through the step memo must leave the same configuration
-        # as a plain step: same image, dedupe digest and enabled entries, and
-        # no crash event.  One memo serves every run, so later runs mostly
-        # hit it, and a memoized process mutated after it was stored would
-        # show up as a mismatch.  A pending crash victim steps afresh, as in
-        # the explorer.
+        # A step from the explorer's transition table must match a plain
+        # step along whole seeded runs, decisions included: the same process
+        # image, the same sent messages in send order and the same crash
+        # outcome.  One table serves both runs of a crash cell, so the
+        # second run mostly hits it, and a table process mutated after it
+        # was interned would show up as a mismatch.
         values = default_values(n)
         cells = [None, CrashSpec(n // 2, CrashPoint.BEFORE, MsgKind.INITIAL)]
         cells += [c for c in crash_grid(n)[1:] if c.victim == 1][::2]
-        steps: dict = {}
-        for seed, crash in enumerate(cells):
-            plain, _ = new_configuration(n, values, crash=crash)
-            memo = plain.clone()
-            rng = random.Random(seed)
-            while delivers := enabled_deliveries(plain):
-                index = delivers[rng.randrange(len(delivers))].send_index
-                plain, memo = plain.clone(), memo.clone()
-                bites = apply_deliver(plain, plain.buffer[index])
-                entry = memo.buffer[index]
-                pending = memo.crash_pending
-                if pending is not None and pending.victim == entry.message.dest:
-                    assert apply_deliver(memo, entry) == bites
-                else:
-                    assert bites == []
-                    dest = entry.message.dest
-                    apply_step(memo, entry, memo_step(steps, memo.processes[dest], entry.message))
-                assert memo.canonical_bytes() == plain.canonical_bytes()
-                assert memo.dedupe_digest() == plain.dedupe_digest()
-                assert enabled_deliveries(memo) == enabled_deliveries(plain)
-            assert crash is None or memo.crashed == crash.victim
-        assert steps
+        hits = 0
+        for crash in cells:
+            tables = _Tables(Scenario(n=n, values=tuple(values), crash=crash))
+            for seed in range(2):
+                cfg, _ = new_configuration(n, values, crash=crash)
+                rng = random.Random(seed)
+                while delivers := enabled_deliveries(cfg):
+                    entry = delivers[rng.randrange(len(delivers))]
+                    nodes, _, _ = tables.start(cfg)
+                    mid, d = tables.message(entry.message), entry.message.dest
+                    step = tables.steps[mid].get(nodes[d])
+                    hits += step is not None
+                    new, _, sent, bit, _ = step or tables.step(nodes, mid, cfg.crashed)
+                    index, cfg = cfg.next_send_index, cfg.clone()
+                    bites = apply_deliver(cfg, cfg.buffer[entry.send_index])
+                    assert tables.images[new] == cfg.processes[d].canonical_bytes()
+                    assert [tables.msgs[i] for i in sent] == [
+                        e.message for e in cfg.buffer.values() if e.send_index >= index
+                    ]
+                    assert bit == bool(bites)
+                assert crash is None or cfg.crashed == crash.victim
+        assert hits
 
     @pytest.mark.parametrize("n", [5, 15])
     def test_lazy_digest_matches_a_rebuilt_configuration(self, n):
-        # Once computed, the dedupe digest is kept up to date step by step.
-        # After every step it must equal the digest of a twin that took the
-        # same steps without ever computing it (so a clone of the twin
-        # computes it from scratch), and at the end the digest of the
-        # configuration run_config rebuilds from the recorded events.
+        # The digest of a configuration stepped one delivery at a time
+        # must equal, after every step, that of a twin which took the same
+        # steps, and at the end that of the configuration run_config
+        # rebuilds from the recorded events.
         values = default_values(n)
         crash = CrashSpec(1, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
         for seed, cell in enumerate([None, crash]):
             cfg, events = new_configuration(n, values, crash=cell)
             twin, _ = new_configuration(n, values, crash=cell)
-            cfg.dedupe_digest()
             scheduler = SeededRandomScheduler(seed=seed, fairness_bound=8)
             while delivers := enabled_deliveries(cfg):
                 entry = scheduler.next(cfg, delivers)
@@ -139,24 +133,10 @@ class TestBuffer:
                 events.append(Deliver(m.sender, m.seq, m.dest, m.kind))
                 events.extend(apply_deliver(cfg, entry))
                 apply_deliver(twin, twin.buffer[entry.send_index])
-                assert twin.buf_acc is None and twin.proc_acc is None
                 assert cfg.dedupe_digest() == twin.clone().dedupe_digest()
             rebuilt = run_config(Scenario(n=n, values=tuple(values), crash=cell), events)
-            assert rebuilt.buf_acc is None
             assert cfg.dedupe_digest() == rebuilt.dedupe_digest()
             assert cell is None or cfg.crashed == cell.victim
-
-    def test_plain_runs_never_hash_the_buffer(self):
-        # Only the explorer reads the dedupe digest; runs, fuzzing,
-        # minimizing and replaying must not pay for the buffer digest.
-        _entry_digest.cache_clear()
-        run_raw(scenario(seed=4))
-        fuzz(scenario(), 20)
-        replay(minimize(run(racing_scenario())))
-        assert _entry_digest.cache_info().currsize == 0
-        cfg, _ = new_configuration(5, VALUES)
-        cfg.dedupe_digest()
-        assert _entry_digest.cache_info().currsize > 0
 
 
 class TestCrashPoints:
@@ -307,7 +287,9 @@ class TestTupleRecords:
         entry = next(e for e in cfg.buffer.values() if e.message.dest == 1)
         twin = Message(*entry.message)
         assert twin is not entry.message and twin == entry.message
-        steps: dict = {}
-        step = memo_step(steps, cfg.processes[1], entry.message)
-        assert memo_step(steps, cfg.processes[1], twin) is step
-        assert len(steps) == 1
+        tables = _Tables(scenario())
+        nodes, _, _ = tables.start(cfg)
+        mid = tables.message(twin)
+        assert mid == tables.message(entry.message) and len(tables.msgs) == len(cfg.buffer)
+        step = tables.step(nodes, mid, None)
+        assert tables.steps[mid] == {nodes[1]: step}
