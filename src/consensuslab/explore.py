@@ -24,7 +24,8 @@ from .properties import (
     terminal_violation,
 )
 from .protocol import MsgKind, Rules
-from .scenario import Scenario, bit_values, crash_grid
+from .scenario import Scenario, SchedulerSpec, bit_values, crash_grid
+from .schedulers import ScriptedScheduler
 from .simulation import (
     BufferEntry,
     Configuration,
@@ -154,7 +155,9 @@ class _Tables:
     above them, and the buffer mask above that.  A node id that outgrows
     its field raises instead of aliasing another state.
 
-    ``step`` makes each transition once, by ``apply_deliver``.  The tables
+    ``step`` makes each transition once, by ``apply_deliver``.  ``commutes``
+    memoizes, per node id, whether two deliveries to that process commute,
+    and ``safety`` the safety verdict per tuple of decision classes.  The tables
     describe one scenario's configurations (the image leaves out the rules
     and the final quorum), so they serve one ``explore`` call only.
     """
@@ -171,6 +174,12 @@ class _Tables:
         self.sleep_bits: list = []  # message id -> its sleep-set bit
         self.msg_ids: dict = {}  # Message -> message id
         self.steps: list = []  # message id -> {node id -> transition}
+        self.commute: dict = {}  # (node id, message id a) -> {message id b -> commute}
+        self.classes: list = []  # node id -> the id of its (decided, decision_entry)
+        self.class_ids: dict = {}  # (decided, decision_entry) -> class id
+        self.verdicts: dict = {}  # class ids of a configuration -> safety_violation's
+        self.values = list(base.values)
+        self.independent = _independent(n)
         self.crash_shift = n * _NODE_BITS
         self.mask_shift = self.crash_shift + n.bit_length()
 
@@ -189,6 +198,8 @@ class _Tables:
             self.procs.append(proc)
             self.images.append(image)
             self.finished.append(_finished(proc))
+            decision = (proc.decided, proc.decision_entry)
+            self.classes.append(self.class_ids.setdefault(decision, len(self.class_ids)))
         return node
 
     def message(self, m) -> int:
@@ -242,6 +253,73 @@ class _Tables:
         step = self.steps[mid][old] = (new, delta, sent, bites, changed)
         return step
 
+    def _two_steps(self, nodes: list, crashed: Optional[int], first: int, second: int):
+        """The destination's node id after delivering ``first`` and then
+        ``second``, both to it, and the set of message ids the two sent; None
+        if either bites a crash."""
+        d = self.dest[first]
+        step = self.steps[first].get(nodes[d]) or self.step(nodes, first, crashed)
+        if step[3]:
+            return None
+        between = nodes.copy()
+        between[d] = step[0]
+        last = self.steps[second].get(step[0]) or self.step(between, second, crashed)
+        if last[3]:
+            return None
+        return last[0], frozenset(step[2] + last[2])
+
+    def commutes(self, nodes: list, crashed: Optional[int], a: int, b: int) -> bool:
+        """Do deliveries ``a`` and ``b`` to the same process d commute at the
+        configuration with processes ``nodes`` and crashed process
+        ``crashed``?  They do when neither order bites a crash and both end
+        in the same node id for d having sent the same messages: then a
+        then b and b then a reach the same configuration.  Both are steps of
+        d alone (see ``step``), so the verdict depends only on d's node id;
+        it is memoized in ``commute[node id, a][b]`` and
+        ``commute[node id, b][a]``."""
+        node = nodes[self.dest[a]]
+        row = self.commute.setdefault((node, a), {})
+        verdict = row.get(b)
+        if verdict is None:
+            ends = self._two_steps(nodes, crashed, a, b)
+            verdict = ends is not None and ends == self._two_steps(nodes, crashed, b, a)
+            row[b] = self.commute.setdefault((node, b), {})[a] = verdict
+        return verdict
+
+    def sleep(self, nodes: list, enabled: list, crashed: Optional[int], tried: int,
+              mid: int) -> int:
+        """The sleep set of the child that delivers message ``mid`` at the
+        configuration with processes ``nodes``, enabled message ids
+        ``enabled`` and crashed process ``crashed``, whose sleep set plus
+        the deliveries already made from it is ``tried`` (without ``mid``):
+        the deliveries in ``tried`` to other processes, and those to
+        ``mid``'s destination that commute with ``mid`` there."""
+        d = self.dest[mid]
+        sleep = tried & self.independent[d]
+        same = tried & ~self.independent[d]
+        if same:
+            bits = self.sleep_bits
+            row = self.commute.get((nodes[d], mid), {})
+            for b in enabled:
+                bit = bits[b]
+                if same & bit:
+                    verdict = row.get(b)
+                    if verdict is None:
+                        verdict = self.commutes(nodes, crashed, mid, b)
+                    if verdict:
+                        sleep |= bit
+        return sleep
+
+    def safety(self, nodes: list, crashed: Optional[int]) -> Optional[tuple]:
+        """``safety_violation`` at the configuration with processes
+        ``nodes``, memoized by their decision classes: the check reads only
+        each process's ``decided`` and ``decision_entry``."""
+        classes = tuple([self.classes[i] for i in nodes])
+        if classes not in self.verdicts:
+            self.verdicts[classes] = safety_violation(self.configuration(nodes, crashed),
+                                                      self.values)
+        return self.verdicts[classes]
+
     def configuration(self, nodes: list, crashed: Optional[int]) -> Configuration:
         """A configuration with these processes and an empty buffer, for the
         property checks, which read only the processes and the crashed one."""
@@ -280,10 +358,16 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     (``Configuration.canonical_bytes``) of terminal and depth-frontier
     configurations, which lets tests cross-validate the reductions.
 
-    Two reductions cut the search.  Two deliveries are dependent iff they
-    share a destination: a delivery changes only its destination's process
-    and appends to the buffer, and a crash disables only the victim's
-    inbound messages.
+    Two reductions cut the search.  Their independence relation is read
+    off the transition table, per state (conditional independence: Katz &
+    Peled 1992; Godefroid & Pirottin, CAV 1993).  Deliveries to different
+    processes are independent everywhere: a delivery changes only its
+    destination's process and appends to the buffer, and a crash disables
+    only the victim's inbound messages.  Two deliveries a and b to one
+    process are independent at a configuration if they commute there
+    (``_Tables.commutes``): neither order bites a crash, and both end
+    in the same process state having sent the same messages, so both reach
+    the same configuration.
 
     One delivery to a finished process.  A process that has decided and
     sent its second proposal has broadcast all four kinds, so it never
@@ -303,8 +387,9 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     Sleep sets with state caching (Godefroid 1996) skip deliveries whose
     configuration an earlier branch has already reached.  A child's sleep
     set is its parent's sleep set plus the deliveries already made from
-    the parent, less those to the child's own destination; ``sleep`` is
-    the sleep set of ``cfg0``.  A delivery in a sleep set is never made.
+    the parent, less those that are dependent, at the parent, on the
+    delivery that made the child (``_Tables.sleep``); ``sleep`` is the
+    sleep set of ``cfg0``.  A delivery in a sleep set is never made.
 
     Soundness: the search reaches the same terminal configurations as the
     unreduced search, and finds a violation iff the unreduced search does
@@ -320,12 +405,16 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     is reachable from x's t-child.  If t was made, that child was stored
     and fully expanded, now or before.  If t is in x's sleep set, t was
     made at an ancestor a of x (for a chunk's root, at the chunk's start)
-    before the branch leading to x, and commutes with every delivery on
-    the path p from a to x, so x's t-child is a's t-child followed by p,
-    and a's t-child was fully expanded before x was reached.  Either way
-    z is stored.  So a stored configuration reached again is not expanded
-    again, even with a smaller sleep set than it was stored with:
-    Godefroid's re-expansion of the difference is not needed.  Only
+    before the branch leading to x.  Let p = p_1 ... p_k be the path from a
+    to x and y_i the configuration after p_1 ... p_i.  When p_i was made at
+    y_(i-1), t was asleep or already made there and stayed asleep in y_i,
+    so t and p_i commute at y_(i-1): p_i then t reaches what t then p_i
+    does.  Swapping t back past p_k, ..., p_1 one delivery at a time, x's
+    t-child is a's t-child followed by p, and a's t-child was fully
+    expanded before x was reached.  Either way z is stored.  So a stored
+    configuration reached again is not expanded again, even with a smaller
+    sleep set than it was stored with: Godefroid's re-expansion of the
+    difference is not needed.  Only
     terminal and frontier configurations are judged by ``full_entrants``
     and ``termination``, and every safety property reads only ``decided``
     and ``decision_entry``, which are fixed once set, so a reachable safety
@@ -341,10 +430,10 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
 
     The safety check runs on a new configuration only if the delivery
     changed its destination's decision or decision-stage entry: the parent
-    passed it, and nothing else it reads can change.
+    passed it, and nothing else it reads can change.  Its verdict is
+    memoized by the processes' decision classes (``_Tables.safety``).
     """
     values = list(base.values)
-    independent = _independent(base.n)
     max_depth = bounds.max_depth
     depth0 = len(prefix)
     v = safety_violation(cfg0, values)
@@ -387,23 +476,23 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
         seen.add(key)
         stats["configs"] += 1
         path.append(msgs[mid])
-        nodes = nodes.copy()
-        nodes[d] = new
+        child_nodes = nodes.copy()
+        child_nodes[d] = new
         nxt = enabled.copy()
         nxt.remove(mid)
+        child_crashed = d if bites else crashed
         if bites:
-            crashed = d
             nxt = [i for i in nxt if dest[i] != d]
-        nxt += sent if crashed is None else [i for i in sent if dest[i] != crashed]
+        nxt += sent if child_crashed is None else [i for i in sent if dest[i] != child_crashed]
         if changed:
-            v = safety_violation(tables.configuration(nodes, crashed), values)
+            v = tables.safety(child_nodes, child_crashed)
             if v is not None:
                 return v[0], _events(path)
         if not nxt:
             stats["terminals"] += 1
             if sink is not None:
-                sink.add(tables.image(nodes, crashed, key))
-            child = tables.configuration(nodes, crashed)
+                sink.add(tables.image(child_nodes, child_crashed, key))
+            child = tables.configuration(child_nodes, child_crashed)
             status = STATUS_COMPLETE if child.all_alive_decided() else STATUS_STUCK
             v = terminal_violation(child, values, status)
             if v is not None:
@@ -417,14 +506,14 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
             stats["frontier"] += 1
             stats["truncated"] = True
             if sink is not None:
-                sink.add(tables.image(nodes, crashed, key))
+                sink.add(tables.image(child_nodes, child_crashed, key))
             path.pop()
             continue
         if not finished >> d & 1 and tables.finished[new]:
             finished |= 1 << d
         children = _ample(nxt, finished, dest) if finished else nxt
-        stack.append([nodes, key, nxt, crashed, reversed(children), depth + 1,
-                      tried & independent[d], finished])
+        stack.append([child_nodes, key, nxt, child_crashed, reversed(children), depth + 1,
+                      tables.sleep(nodes, enabled, crashed, tried, mid), finished])
     return None
 
 
@@ -449,7 +538,7 @@ def _explore_chunk(args, tables: Optional[_Tables] = None) -> dict:
         base.n, list(base.values), crash=base.crash, rules=base.rules,
         final_quorum=base.final_quorum,
     )
-    independent = _independent(base.n)
+    nodes0, _, enabled0 = tables.start(cfg0)
     stats = _new_stats(budget)
     seen: set = set()
     sink: set = set()
@@ -463,11 +552,12 @@ def _explore_chunk(args, tables: Optional[_Tables] = None) -> dict:
         )
         m = entry.message
         apply_deliver(child, entry)
+        mid = tables.message(m)
         found = _dfs(child, base, bounds, [m], stats, seen, tables, sink,
-                     tried & independent[m.dest])
+                     tables.sleep(nodes0, enabled0, cfg0.crashed, tried, mid))
         if found is not None or stats["exhausted"]:
             break
-        tried |= _key_bit(m, base.n)
+        tried |= tables.sleep_bits[mid]
     return {"stats": {k: stats[k] for k in ("configs", "dedupe_hits", "terminals", "frontier")},
             "truncated": stats["truncated"], "violation": found, "reached": sink}
 
@@ -492,8 +582,10 @@ def explore(
     change unless a chunk runs out of budget.
 
     Two reductions cut the search (see ``_dfs``).  Sleep sets skip
-    deliveries that would reach an already stored configuration (two
-    deliveries are dependent iff they share a destination).  Where a
+    deliveries that would reach an already stored configuration: two
+    deliveries to different processes are independent, and two to the
+    same process are independent at a configuration where they commute,
+    which the search reads off its transition table.  Where a
     delivery to a finished process, one that has decided and sent its
     second proposal, is enabled, only that delivery is made: it commutes
     with every other delivery and no property can see it.  The search
@@ -708,17 +800,23 @@ def minimize(trace: Trace, max_replays: int = 4000) -> Trace:
     prop = failures[0]
     events = [ev for ev in trace.events if isinstance(ev, Deliver)]
     replays = 0
+    # check_properties has validated the trace's scenario with its whole
+    # script, and a candidate's script is part of it: so a candidate runs
+    # the header without a script, whose check is a few field tests, and
+    # gets its script through the scheduler.
+    bare = replace(trace.scenario, scheduler=SchedulerSpec())
+    values = list(bare.values)
 
     def still_fails(candidate: list) -> bool:
         nonlocal replays
         replays += 1
-        scenario = scripted(trace.scenario, candidate)
+        script = ScriptedScheduler([("deliver_seq", ev.sender, ev.seq, ev.dest)
+                                    for ev in candidate])
         try:
-            cfg, _, status = run_raw(scenario, record_events=False)
+            cfg, _, status = run_raw(bare, script, record_events=False)
         except ConsensusLabError:
             return False  # deletion broke causality; not a valid shrink
-        rep = report_for_config(cfg, list(scenario.values), status)
-        return not rep.check(prop).ok
+        return not report_for_config(cfg, values, status).check(prop).ok
 
     # Without a crash, the first delivery a candidate drops stays enabled,
     # so every candidate ends in script_end, which passes termination by

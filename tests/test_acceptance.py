@@ -198,6 +198,18 @@ def test_criterion_5_race_chunk_alone():
     assert replays_identically(witness)
 
 
+def test_criterion_5_race_unchunked():
+    # The state-dependent sleep sets, pinned: one search from the start
+    # configuration, without chunks, finds the agreement race within
+    # 500,000 configurations (it takes 429,848); with sleep sets that call
+    # every two deliveries to one process dependent it runs out of budget.
+    verdict = explore(_base(5), ExploreBounds(max_configs=500_000))
+    assert verdict.outcome == OUTCOME_COUNTEREXAMPLE
+    assert verdict.prop == "agreement"
+    assert verdict.stats["configs"] <= 500_000
+    assert replays_identically(verdict.trace)
+
+
 def test_criterion_6_mutation_sensitivity():
     lines = []
     for name, rules in MUTANTS.items():

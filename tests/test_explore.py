@@ -332,52 +332,69 @@ class TestExplore:
         # clone, once per transition and crashed process, and must give the
         # same process image, the same sent messages in send order, the same
         # crash outcome and decision change, and a child whose image is that
-        # of the parent's key plus the transition's delta.
+        # of the parent's key plus the transition's delta.  The commutation
+        # check of the sleep sets also makes transitions at configurations
+        # the search never stores (a then b, where b is asleep after a, say);
+        # each of those is checked the same way at the configuration of the
+        # start processes with the destination replaced by the node's own
+        # Process and only that message buffered.
         base = Scenario(n=n, values=tuple(default_values(n)))
         during = CrashSpec(n - 1, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
         scenarios = [base] + [base.with_crash(c) for c in crash_grid(n)[1:] if c.victim == 1]
         scenarios += [replace(base, crash=crash, rules=rules)
                       for rules in MUTANTS.values() for crash in (None, during)]
-        made = bites = to_victim = 0
+        made = bites = to_victim = unstored = 0
         for scenario in scenarios:
             tables = _Tables(scenario)
             checked = set()
+
+            def check(key):
+                nonlocal bites, to_victim
+                nodes, cfg = decoded(tables, key, scenario.crash)
+                for entry in enabled_deliveries(cfg):
+                    m = entry.message
+                    d, mid = m.dest, tables.msg_ids[m]
+                    step = tables.steps[mid].get(nodes[d])
+                    if step is None or (mid, nodes[d], cfg.crashed) in checked:
+                        continue
+                    new, delta, sent, bit, changed = step
+                    child = cfg.clone()
+                    events = apply_deliver(child, child.buffer[entry.send_index])
+                    before, after = cfg.processes[d], child.processes[d]
+                    assert tables.images[new] == after.canonical_bytes()
+                    assert [tables.msgs[i] for i in sent] == [
+                        e.message for e in child.buffer.values()
+                        if e.send_index >= cfg.next_send_index
+                    ]
+                    assert bit == bool(events) == (cfg.crashed is None and child.crashed == d)
+                    assert changed == (after.decided != before.decided
+                                       or after.decision_entry != before.decision_entry)
+                    assert decoded(tables, key + delta, scenario.crash)[1].canonical_bytes() \
+                        == child.canonical_bytes()
+                    checked.add((mid, nodes[d], cfg.crashed))
+                    bites += bit
+                    pending = cfg.crash_pending
+                    to_victim += pending is not None and pending.victim == d
+
             for bounds in (ExploreBounds(max_configs=200),
                            ExploreBounds(max_depth=3, max_configs=200)):
                 cfg0, _ = new_configuration(n, list(scenario.values), crash=scenario.crash,
                                             rules=scenario.rules)
                 seen: set = set()
                 _dfs(cfg0, scenario, bounds, [], _new_stats(bounds.max_configs), seen, tables)
+                start = [tables.node_ids[p.canonical_bytes()] for p in cfg0.processes]
                 for key in seen:
-                    nodes, cfg = decoded(tables, key, scenario.crash)
-                    for entry in enabled_deliveries(cfg):
-                        m = entry.message
-                        d, mid = m.dest, tables.msg_ids[m]
-                        step = tables.steps[mid].get(nodes[d])
-                        if step is None or (mid, nodes[d], cfg.crashed) in checked:
-                            continue
-                        new, delta, sent, bit, changed = step
-                        child = cfg.clone()
-                        events = apply_deliver(child, child.buffer[entry.send_index])
-                        before, after = cfg.processes[d], child.processes[d]
-                        assert tables.images[new] == after.canonical_bytes()
-                        assert [tables.msgs[i] for i in sent] == [
-                            e.message for e in child.buffer.values()
-                            if e.send_index >= cfg.next_send_index
-                        ]
-                        assert bit == bool(events) == (cfg.crashed is None and child.crashed == d)
-                        assert changed == (after.decided != before.decided
-                                           or after.decision_entry != before.decision_entry)
-                        assert decoded(tables, key + delta, scenario.crash)[1].canonical_bytes() \
-                            == child.canonical_bytes()
-                        checked.add((mid, nodes[d], cfg.crashed))
-                        bites += bit
-                        pending = cfg.crash_pending
-                        to_victim += pending is not None and pending.victim == d
+                    check(key)
             interned = {(i, node) for i, table in enumerate(tables.steps) for node in table}
+            for mid, node in sorted(interned - {(i, node) for i, node, _ in checked}):
+                nodes = start.copy()
+                nodes[tables.dest[mid]] = node
+                check(sum(x << (_NODE_BITS * i) for i, x in enumerate(nodes))
+                      + (1 << mid << tables.mask_shift))
+                unstored += 1
             assert {(i, node) for i, node, _ in checked} == interned, scenario
             made += len(interned)
-        assert bites and to_victim > bites and made > 100 * len(scenarios)
+        assert bites and to_victim > bites and made > 100 * len(scenarios) and unstored
 
     def test_a_node_id_that_outgrows_its_key_field_raises(self, monkeypatch):
         # An id wider than its field would alias another configuration's
@@ -472,6 +489,73 @@ class TestExplore:
                         assert images[0] == images[1], scenario
                         pairs += 1
         assert pairs > 1000
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_commuting_deliveries_close_the_diamond(self, monkeypatch, n):
+        # The state-dependent sleep sets rest on this: two deliveries a and b
+        # to one process that the tables say commute at a configuration
+        # reach the same configuration in either order, with no crash.
+        # Every sleep set a search builds is recorded with the configuration
+        # it was built at; for each delivery b kept asleep by a true verdict,
+        # that configuration is rebuilt (its processes, crashed process and
+        # enabled messages; messages to a crashed process are left out, and
+        # no step reads them) and a then b and b then a are made by
+        # apply_deliver on clones.  Crash-free, in crash cells with deliveries
+        # to a pending victim, and under the four mutants, chunked (root sleep
+        # sets) and not.
+        calls = []
+        sleep = _Tables.sleep
+
+        def recording(tables, nodes, enabled, crashed, tried, mid):
+            calls.append((tables, list(nodes), list(enabled), crashed, tried, mid))
+            return sleep(tables, nodes, enabled, crashed, tried, mid)
+
+        monkeypatch.setattr(_Tables, "sleep", recording)
+        base = Scenario(n=n, values=tuple(default_values(n)))
+        cells = crash_grid(n)[1:]
+        # A victim that crashes before or during its final broadcast takes
+        # deliveries that commute while the crash is pending.
+        final = [CrashSpec(0, CrashPoint.BEFORE, MsgKind.FINAL),
+                 CrashSpec(0, CrashPoint.DURING, MsgKind.FINAL, frozenset({1}))]
+        scenarios = [base] + [base.with_crash(c) for c in cells[::10] + final]
+        scenarios += [replace(base, crash=crash, rules=rules)
+                      for rules in MUTANTS.values() for crash in (None, cells[n])]
+        diamonds = to_victim = refused = 0
+        for scenario in scenarios:
+            for chunks in (1, 4):
+                calls.clear()
+                explore(scenario, ExploreBounds(max_configs=2000), chunks=chunks)
+                done = set()
+                for tables, nodes, enabled, crashed, tried, a in calls:
+                    d = tables.dest[a]
+                    for b in enabled:
+                        if tables.dest[b] != d or not tried & tables.sleep_bits[b]:
+                            continue
+                        if not tables.commute[nodes[d], a][b]:
+                            refused += 1
+                            continue
+                        if (tuple(nodes), crashed, a, b) in done:
+                            continue
+                        done.add((tuple(nodes), crashed, a, b))
+                        cfg = Configuration(
+                            processes=[tables.procs[i] for i in nodes], crashed=crashed,
+                            crash_pending=scenario.crash if crashed is None else None,
+                            shared=True)
+                        for index, mid in enumerate(enabled):
+                            cfg.buffer[index] = cfg.enabled[index] = BufferEntry(
+                                tables.msgs[mid], index)
+                        cfg.next_send_index = len(enabled)
+                        ends = []
+                        for first, second in ((a, b), (b, a)):
+                            child = cfg.clone()
+                            for mid in (first, second):
+                                assert not apply_deliver(child, child.buffer[enabled.index(mid)])
+                            ends.append((child.canonical_bytes(), child.crashed))
+                        assert ends[0] == ends[1], scenario
+                        diamonds += 1
+                        pending = cfg.crash_pending
+                        to_victim += pending is not None and pending.victim == d
+        assert diamonds > 100 * len(scenarios) and to_victim and refused
 
     def test_one_delivery_rule_matches_the_unreduced_search(self):
         # The soundness gate of the one-delivery rule: exhaustive searches
