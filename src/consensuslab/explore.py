@@ -219,7 +219,7 @@ class _Tables:
         key = sum(node << (_NODE_BITS * i) for i, node in enumerate(nodes))
         key += (0 if cfg.crashed is None else cfg.crashed + 1) << self.crash_shift
         key += sum(1 << self.message(e.message) for e in cfg.buffer.values()) << self.mask_shift
-        return nodes, key, [self.message(e.message) for e in cfg.enabled.values()]
+        return nodes, key, [self.message(e.message) for e in cfg.enabled]
 
     def step(self, nodes: list, mid: int, crashed: Optional[int]) -> tuple:
         """The transition that delivers message ``mid`` at a configuration
@@ -237,10 +237,10 @@ class _Tables:
         """
         m = self.msgs[mid]
         d, old = m.dest, nodes[m.dest]
-        cfg = Configuration(processes=[self.procs[i] for i in nodes], crashed=crashed,
+        entry = BufferEntry(m, 0)
+        cfg = Configuration(processes=[self.procs[i] for i in nodes], buffer={0: entry},
+                            enabled=[entry], next_send_index=1, crashed=crashed,
                             crash_pending=self.crash if crashed is None else None, shared=True)
-        entry = cfg.buffer[0] = cfg.enabled[0] = BufferEntry(m, 0)
-        cfg.next_send_index = 1
         bites = bool(apply_deliver(cfg, entry))
         new = self.node(cfg.processes[d])
         sent = [self.message(e.message) for e in cfg.buffer.values()]
@@ -529,9 +529,10 @@ def _new_stats(budget: int) -> dict:
     }
 
 
-def _explore_chunk(args, tables: Optional[_Tables] = None) -> dict:
+def _explore_chunk(args, tables: Optional[_Tables] = None, collect: bool = False) -> dict:
     """Search the roots ``first_keys`` on the search's interned states
-    ``tables``; a pool job, which gets none, builds its own."""
+    ``tables``; a pool job, which gets none, builds its own.  The terminal
+    and frontier images are collected, as ``reached``, only if ``collect``."""
     base, bounds, first_keys, budget = args
     tables = _Tables(base) if tables is None else tables
     cfg0, _ = new_configuration(
@@ -541,7 +542,7 @@ def _explore_chunk(args, tables: Optional[_Tables] = None) -> dict:
     nodes0, _, enabled0 = tables.start(cfg0)
     stats = _new_stats(budget)
     seen: set = set()
-    sink: set = set()
+    sink = set() if collect else None
     found = None
     tried = 0  # the roots this chunk has searched, as sleep-set bits
     for key in first_keys:
@@ -619,11 +620,12 @@ def explore(
     groups = [g for g in groups if g]
     budget = max(1, bounds.max_configs // len(groups))
     jobs = [(scenario, bounds, g, budget) for g in groups]
+    chunk = partial(_explore_chunk, collect=reach_sink is not None)
     if workers <= 1:
-        results = [_explore_chunk(job, tables) for job in jobs]
+        results = [chunk(job, tables) for job in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_explore_chunk, jobs))
+            results = list(pool.map(chunk, jobs))
     all_stats = [r["stats"] for r in results]
     if reach_sink is not None:
         for r in results:
@@ -696,7 +698,11 @@ def _fuzz_one(base: Scenario, cells: list, seed: int, values_mode: str):
         scenario = replace(scenario, values=_values_for(base, seed, values_mode))
     cfg, _, status = run_raw(scenario, record_events=False)
     report = report_for_config(cfg, list(scenario.values), status)
-    decided = tuple(p.decided for p in cfg.processes)
+    # Equal decided vectors share one object, the inputs' own tuple where
+    # they are decided in full: ``collect_traces`` keeps every run's vectors.
+    values = tuple(scenario.values)
+    shared = {values: values}
+    decided = tuple([shared.setdefault(p.decided, p.decided) for p in cfg.processes])
     return scenario, report, decided
 
 

@@ -51,6 +51,13 @@ class Phase(IntEnum):
     DECIDED = 3
 
 
+# Enum members bound once, in definition order: reading one off its class
+# costs several times a global read, and a process step makes several.
+# ``_COLLECTING`` is ``Phase.INITIAL``, the phase that collects initial values.
+_INITIAL, _FIRST, _SECOND, _FINAL = MsgKind
+_COLLECTING, _PROPOSALS, _DECISION, _DECIDED = Phase
+
+
 class Message(NamedTuple):
     """One directed message. ``seq`` is the sender's send counter (0, 1, 2, ...).
 
@@ -163,7 +170,7 @@ def decode_vector(data: bytes) -> Optional[Vector]:
 
 
 def encode_payload(kind: MsgKind, payload) -> bytes:
-    if kind == MsgKind.INITIAL:
+    if kind == _INITIAL:
         return _enc_u32(len(payload)) + payload
     return encode_vector(payload)
 
@@ -223,7 +230,7 @@ class Process:
         self.quorum = n - 2
         self.final_quorum = final_quorum if final_quorum is not None else n - 2
 
-        self.phase = Phase.INITIAL
+        self.phase = _COLLECTING
         self.started = False
         self.sent_seq = 0
         self.output: Optional[Vector] = None
@@ -256,7 +263,6 @@ class Process:
         self.seen_full_final: Optional[Vector] = None
         self.decided: Optional[Vector] = None
         self._canon: Optional[bytes] = None  # cached canonical_bytes
-        self._skey: Optional[int] = None  # cached 128-bit state digest
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -264,9 +270,9 @@ class Process:
         """Kick off participation by broadcasting the own input value."""
         if self.started:
             raise ProtocolViolation(f"P{self.pid} started twice")
-        self._canon = self._skey = None
+        self._canon = None
         self.started = True
-        return [self._broadcast(MsgKind.INITIAL, self.input)]
+        return [self._broadcast(_INITIAL, self.input)]
 
     def _broadcast(self, kind: MsgKind, payload) -> Broadcast:
         b = Broadcast(kind, payload, self.sent_seq)
@@ -286,7 +292,7 @@ class Process:
             raise SimulatorBug(f"message for P{msg.dest} delivered to P{self.pid}")
         if msg.sender == self.pid:
             raise ModelViolation("no self-delivery: broadcasts skip the sender")
-        self._canon = self._skey = None
+        self._canon = None
         sender = msg.sender
         if not self.rules.ordered_delivery:
             if msg.seq in self.seen_seqs[sender]:
@@ -318,18 +324,19 @@ class Process:
         order, the moment the phase starts.
         """
         out: list = []
-        self._canon = self._skey = None
-        if msg.kind == MsgKind.INITIAL:
+        self._canon = None
+        kind = msg.kind
+        if kind == _INITIAL:
             self._on_initial(msg.sender, msg.payload, out)
-        elif msg.kind in (MsgKind.FIRST, MsgKind.SECOND):
-            if self.phase < Phase.PROPOSALS:
+        elif kind == _FIRST or kind == _SECOND:
+            if self.phase < _PROPOSALS:
                 self.pending_proposals.append(msg)
-            elif msg.kind == MsgKind.FIRST:
+            elif kind == _FIRST:
                 self._on_first(msg.payload, out)
             else:
                 self._on_second(msg.payload, out)
-        elif msg.kind == MsgKind.FINAL:
-            if self.phase < Phase.DECISION:
+        elif kind == _FINAL:
+            if self.phase < _DECISION:
                 self.pending_finals.append(msg)
             else:
                 self._on_final(msg.sender, msg.payload, out)
@@ -339,7 +346,7 @@ class Process:
 
     def _on_initial(self, sender: int, value: bytes, out: list) -> None:
         self.known_values[sender] = value
-        if self.phase != Phase.INITIAL:
+        if self.phase != _COLLECTING:
             return  # late: recorded above, never counted
         self.initial_count += 1
         if self.initial_count == self.quorum:
@@ -356,11 +363,11 @@ class Process:
         return tuple(self.known_values.get(i) for i in range(self.n))
 
     def _enter_proposals(self, out: list) -> None:
-        self.phase = Phase.PROPOSALS
-        out.append(self._broadcast(MsgKind.FIRST, self.first_proposal))
+        self.phase = _PROPOSALS
+        out.append(self._broadcast(_FIRST, self.first_proposal))
         pending, self.pending_proposals = self.pending_proposals, []
         for m in pending:
-            if m.kind == MsgKind.FIRST:
+            if m.kind == _FIRST:
                 self._on_first(m.payload, out)
             else:
                 self._on_second(m.payload, out)
@@ -374,7 +381,7 @@ class Process:
             and gap != gap_index(self.first_proposal)
         ):
             self._send_second(vec, out)
-        if self.phase == Phase.PROPOSALS and self.first_tally[vec] == self.quorum:
+        if self.phase == _PROPOSALS and self.first_tally[vec] == self.quorum:
             self._complete_proposals(vec, out)
 
     def _on_second(self, vec: Vector, out: list) -> None:
@@ -384,7 +391,7 @@ class Process:
         self.second_count += 1
         if self.rules.fill_on_second and not self.second_sent:
             self._send_second(vec, out)
-        if self.phase == Phase.PROPOSALS and self.second_count == self.quorum:
+        if self.phase == _PROPOSALS and self.second_count == self.quorum:
             self._complete_proposals(vec, out)
 
     def _send_second(self, trigger: Vector, out: list) -> None:
@@ -397,7 +404,7 @@ class Process:
         vec = self.first_proposal[:gap] + (fill,) + self.first_proposal[gap + 1 :]
         self._check_second_value(vec)
         self.second_sent = True
-        out.append(self._broadcast(MsgKind.SECOND, vec))
+        out.append(self._broadcast(_SECOND, vec))
 
     def _check_second_value(self, vec: Vector) -> None:
         # Every second proposal in a run must carry the same full vector.
@@ -410,13 +417,13 @@ class Process:
             )
 
     def _complete_proposals(self, vec: Vector, out: list) -> None:
-        if self.phase != Phase.PROPOSALS:
+        if self.phase != _PROPOSALS:
             raise ProtocolViolation("proposal completion outside the proposal phase")
         self.completion = vec
         self.decision_entry = vec
-        self.phase = Phase.DECISION
+        self.phase = _DECISION
         self.final_slots[self.pid] = vec
-        out.append(self._broadcast(MsgKind.FINAL, vec))
+        out.append(self._broadcast(_FINAL, vec))
         pending, self.pending_finals = self.pending_finals, []
         for m in pending:
             self._on_final(m.sender, m.payload, out)
@@ -425,7 +432,7 @@ class Process:
         if vec.count(None) > 1:
             raise MalformedMessage("final vector must have at most one empty slot")
         self.final_slots[sender] = vec
-        if self.phase != Phase.DECISION:
+        if self.phase != _DECISION:
             return  # already decided: recorded, never counted
         self.final_count += 1
         if is_full(vec) and self.seen_full_final is None:
@@ -444,7 +451,7 @@ class Process:
             raise ProtocolViolation(f"P{self.pid} attempted a second decision")
         self.decided = vec
         self.output = vec
-        self.phase = Phase.DECIDED
+        self.phase = _DECIDED
 
     # -- copying and canonical state ----------------------------------------
 
@@ -510,9 +517,7 @@ class Process:
         return self._canon
 
     def state_key(self) -> int:
-        """128-bit blake2b digest of :meth:`canonical_bytes`, cached likewise."""
-        if self._skey is None:
-            self._skey = int.from_bytes(
-                hashlib.blake2b(self.canonical_bytes(), digest_size=16).digest(), "big"
-            )
-        return self._skey
+        """128-bit blake2b digest of :meth:`canonical_bytes`."""
+        return int.from_bytes(
+            hashlib.blake2b(self.canonical_bytes(), digest_size=16).digest(), "big"
+        )

@@ -15,7 +15,8 @@ Scenario files are JSON with the fields::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -84,7 +85,7 @@ def _flag(section: dict, where: str, name: str, default: bool) -> bool:
     return flag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchedulerSpec:
     type: str = "seeded-random"
     seed: int = 0
@@ -106,7 +107,7 @@ class SchedulerSpec:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     n: int
     values: tuple
@@ -254,12 +255,20 @@ def delivered_to_subsets(n: int, victim: int, exhaustive: bool = False) -> list:
 
 def crash_grid(n: int, exhaustive_subsets: bool = False) -> list:
     """All crash cells checked by the fuzzer: no crash, then every victim x
-    kind x point, with representative subsets for mid-broadcast crashes."""
+    kind x point, with representative subsets for mid-broadcast crashes.
+
+    A new list of cells built once per ``(n, exhaustive_subsets)``: every
+    campaign's scenarios share the same immutable ``CrashSpec`` objects."""
+    return list(_crash_cells(n, exhaustive_subsets))
+
+
+@lru_cache(maxsize=8)
+def _crash_cells(n: int, exhaustive_subsets: bool) -> tuple:
     cells = [None]
     for victim in range(n):
-        for kind in (MsgKind.INITIAL, MsgKind.FIRST, MsgKind.SECOND, MsgKind.FINAL):
+        for kind in MsgKind:
             cells.append(CrashSpec(victim, CrashPoint.BEFORE, kind))
             for subset in delivered_to_subsets(n, victim, exhaustive_subsets):
                 cells.append(CrashSpec(victim, CrashPoint.DURING, kind, subset))
             cells.append(CrashSpec(victim, CrashPoint.AFTER, kind))
-    return cells
+    return tuple(cells)

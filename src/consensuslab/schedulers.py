@@ -4,6 +4,11 @@ A scheduler picks the next event among the enabled ones.  All three are
 deterministic functions of their construction arguments, which is what
 makes traces replayable.
 
+``next(cfg, delivers)`` gets, as ``delivers``, the configuration's own
+send-ordered list of enabled entries (``cfg.enabled``), not a copy.  A
+scheduler reads it and returns one of its entries, or None; it never
+mutates it.
+
 The fairness guard forces the oldest enabled entry once any entry has
 waited more than ``fairness_bound`` picks, so every message to a live
 process is delivered eventually.  An entry waits from the first pick after

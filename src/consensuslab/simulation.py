@@ -18,6 +18,7 @@ given schedule, so every run is replayable from its event list alone.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
@@ -40,7 +41,13 @@ class CrashPoint(str, Enum):
     AFTER = "after"
 
 
-@dataclass(frozen=True)
+# Enum members bound once: reading one off its class costs several times a
+# global read, and the run loop tests the crash anchor on every broadcast.
+_BEFORE, _DURING = CrashPoint.BEFORE, CrashPoint.DURING
+_INITIAL = MsgKind.INITIAL
+
+
+@dataclass(frozen=True, slots=True)
 class CrashSpec:
     """One crash fault: victim dies around its own broadcast of ``kind``."""
 
@@ -52,7 +59,7 @@ class CrashSpec:
     def validate(self, n: int) -> None:
         if not 0 <= self.victim < n:
             raise ConfigError(f"crash victim {self.victim} out of range")
-        if self.point == CrashPoint.DURING:
+        if self.point == _DURING:
             dests = self.delivered_to
             if not dests:
                 raise ConfigError("a mid-broadcast crash must deliver to at least one process")
@@ -91,7 +98,7 @@ class BufferEntry(NamedTuple):
 # Trace events ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deliver:
     sender: int
     seq: int
@@ -108,7 +115,7 @@ class Deliver:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrashBite:
     """Marks the step at which the configured crash took effect."""
 
@@ -143,10 +150,10 @@ class Configuration:
 
     processes: list
     buffer: dict = field(default_factory=dict)  # send_index -> BufferEntry
-    # The buffer entries whose destination has not crashed, in send order:
-    # derived from ``buffer`` and never hashed, it lets the run loop list
-    # the enabled deliveries without a scan.
-    enabled: dict = field(default_factory=dict)
+    # The buffer's entries whose destination has not crashed, in send order,
+    # as the same objects: derived from ``buffer`` and never hashed, it is
+    # the list the run loop hands its scheduler.
+    enabled: list = field(default_factory=list)
     next_send_index: int = 0
     crashed: Optional[int] = None
     crash_pending: Optional[CrashSpec] = None
@@ -167,7 +174,7 @@ class Configuration:
         c.__dict__.update(self.__dict__)
         c.processes = list(self.processes)
         c.buffer = dict(self.buffer)
-        c.enabled = dict(self.enabled)
+        c.enabled = self.enabled.copy()
         return c
 
     def all_alive_decided(self) -> bool:
@@ -195,6 +202,8 @@ class Configuration:
 
 
 _BUFFER_ORDER = itemgetter(0, 2, 1)  # a message's (sender, seq, dest)
+_SEND_INDEX = itemgetter(1)  # a buffer entry's send index
+_new_tuple = tuple.__new__  # builds a named tuple without its Python-level __new__
 
 
 def configuration_image(process_images: list, crashed: Optional[int], pending: bool,
@@ -239,8 +248,8 @@ def new_configuration(
         if (
             spec is not None
             and spec.victim == pid
-            and spec.point == CrashPoint.BEFORE
-            and spec.kind == MsgKind.INITIAL
+            and spec.point == _BEFORE
+            and spec.kind == _INITIAL
         ):
             _crash(cfg, pid)
             events.append(CrashBite(pid, spec.point, spec.kind))
@@ -265,15 +274,15 @@ def _materialize(cfg: Configuration, sender: int, broadcasts: list) -> list:
         bite = spec is not None and spec.victim == sender and spec.kind == kind
         dests = peers
         if bite:
-            if spec.point == CrashPoint.BEFORE:
+            if spec.point == _BEFORE:
                 dests = ()
-            elif spec.point == CrashPoint.DURING:
+            elif spec.point == _DURING:
                 dests = [d for d in dests if d in spec.delivered_to]
         for d in dests:
-            msg = Message(sender, d, seq, kind, payload)
-            entry = buffer[index] = BufferEntry(msg, index)
+            entry = buffer[index] = _new_tuple(
+                BufferEntry, (_new_tuple(Message, (sender, d, seq, kind, payload)), index))
             if d != crashed:
-                enabled[index] = entry
+                enabled.append(entry)
             index += 1
         if bite:
             _crash(cfg, sender)
@@ -287,12 +296,13 @@ def _crash(cfg: Configuration, victim: int) -> None:
     """Kill the victim: its inbound entries stay buffered but are disabled."""
     cfg.crashed = victim
     cfg.crash_pending = None
-    cfg.enabled = {i: e for i, e in cfg.enabled.items() if e.message.dest != victim}
+    cfg.enabled = [e for e in cfg.enabled if e.message.dest != victim]
 
 
 def enabled_deliveries(cfg: Configuration) -> list:
-    """Buffer entries whose destination can still take a step, in send order."""
-    return list(cfg.enabled.values())
+    """Buffer entries whose destination can still take a step, in send
+    order: a copy of ``cfg.enabled``, which the caller may change."""
+    return cfg.enabled.copy()
 
 
 def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
@@ -307,8 +317,14 @@ def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
     dest = message.dest
     if dest == cfg.crashed:
         raise SimulatorBug("delivery to a crashed process")
+    # The send-ordered enabled list holds the entry (its destination is
+    # live); a binary search by send index finds it.
+    enabled = cfg.enabled
+    i = bisect_left(enabled, at, key=_SEND_INDEX)
+    if i == len(enabled) or enabled[i] is not entry:
+        raise SimulatorBug("the enabled list does not hold the delivered entry")
     del cfg.buffer[at]
-    del cfg.enabled[at]
+    del enabled[i]
     proc = cfg.processes[dest]
     if cfg.shared:
         proc = cfg.processes[dest] = proc.clone()

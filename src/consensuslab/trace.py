@@ -21,7 +21,6 @@ from .simulation import (
     Configuration,
     Deliver,
     apply_deliver,
-    enabled_deliveries,
     event_from_dict,
     new_configuration,
 )
@@ -151,7 +150,9 @@ def run_raw(scenario: Scenario, scheduler=None, record_events: bool = True) -> t
     entry remains, because a decided process may still owe a second
     proposal to a slower peer; only entries addressed to a crashed process
     may be left over.  The scheduler is asked for a step even when nothing
-    is enabled, so a script with items left then is an error.
+    is enabled, so a script with items left then is an error.  It is handed
+    the configuration's own send-ordered list of enabled entries, which
+    ``apply_deliver`` keeps current.
     """
     scenario.validate()
     if scheduler is None:
@@ -165,7 +166,7 @@ def run_raw(scenario: Scenario, scheduler=None, record_events: bool = True) -> t
     )
     events = list(start_events) if record_events else []
     while cfg.event_count < scenario.max_events:
-        delivers = enabled_deliveries(cfg)
+        delivers = cfg.enabled
         choice = scheduler.next(cfg, delivers)
         if choice is None:
             if delivers:

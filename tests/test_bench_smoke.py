@@ -1,0 +1,27 @@
+"""The benchmark runs end to end and its own checker passes: a change that
+breaks a workload, or an output the checker verifies, fails here first.
+
+Each run writes its record under ``bench/out/``, which git ignores."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["fuzz-n15", "explore-n5"])
+def test_a_short_benchmark_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0.01"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

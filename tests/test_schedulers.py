@@ -2,15 +2,20 @@
 adversary starves whom it is told to."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from consensuslab.errors import SimulatorBug
 from consensuslab.protocol import MsgKind, gap_indices
 from consensuslab.scenario import Scenario, SchedulerSpec, crash_grid, default_values
-from consensuslab.schedulers import AdversarialLifoScheduler, SeededRandomScheduler
+from consensuslab.schedulers import (
+    AdversarialLifoScheduler,
+    SeededRandomScheduler,
+    scheduler_from_spec,
+)
 from consensuslab.simulation import CrashPoint, CrashSpec
-from consensuslab.trace import run
+from consensuslab.trace import run, run_raw, scripted
 
 VALUES = default_values(5)
 
@@ -186,3 +191,43 @@ def test_index_draw_is_randranges_stream():
         for k in range(1, 301):
             delivers = list(range(k))
             assert scheduler.next(_NoGuardConfig, delivers) == reference.randrange(k), (seed, k)
+
+
+class _Watching:
+    """Passes each pick to ``inner`` and checks that it was handed the
+    configuration's own list, left it as it was, and returned one of its
+    entries."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.picks = 0
+
+    def next(self, cfg, delivers):
+        assert delivers is cfg.enabled
+        before = list(delivers)
+        choice = self.inner.next(cfg, delivers)
+        assert len(delivers) == len(before)
+        assert all(now is then for now, then in zip(delivers, before))
+        assert choice is None or any(choice is e for e in delivers)
+        self.picks += 1
+        return choice
+
+
+@pytest.mark.parametrize("n", [5, 15])
+def test_no_scheduler_mutates_the_list_it_is_handed(n):
+    base = Scenario(n=n, values=tuple(default_values(n)))
+    for crash in _differential_cells(n):
+        scenario = base.with_crash(crash)
+        recorded = run(scenario).events
+        scenarios = [
+            replace(scenario, scheduler=SchedulerSpec(seed=3, fairness_bound=1)),
+            replace(scenario, scheduler=SchedulerSpec(type="adversarial-lifo", starve=1)),
+            scripted(scenario, recorded),
+        ]
+        half = scripted(scenario, recorded[: len(recorded) // 2]).scheduler
+        scenarios.append(replace(scenario, scheduler=replace(half, drain_rest=True)))
+        for each in scenarios:
+            watching = _Watching(scheduler_from_spec(each.scheduler))
+            run_raw(each, scheduler=watching)
+            assert watching.picks > 1
+

@@ -58,12 +58,16 @@ class TestBuffer:
 
     @pytest.mark.parametrize("n", [5, 15])
     def test_enabled_index_tracks_the_buffer(self, n):
-        # The enabled-entry index must equal a scan of the buffer after every
-        # step, after every crash (including a crash before the victim's
-        # first broadcast, when lower pids have already sent to it), and in
-        # every clone, which must not share it with its parent.
-        def scan(cfg):
-            return [e for e in cfg.buffer.values() if e.message.dest != cfg.crashed]
+        # ``cfg.enabled`` must hold the buffer's entries to live destinations,
+        # in send order and as the same objects, after every delivery and
+        # every crash (including a crash before the victim's first broadcast,
+        # when lower pids have already sent to it).  A clone gets its own
+        # list, which its parent's deliveries leave as it was.
+        def same_objects(xs, ys):
+            return len(xs) == len(ys) and all(x is y for x, y in zip(xs, ys))
+
+        def live_entries(cfg):
+            return [e for _, e in sorted(cfg.buffer.items()) if e.message.dest != cfg.crashed]
 
         values = default_values(n)
         grid = crash_grid(n)
@@ -72,14 +76,28 @@ class TestBuffer:
         for seed, crash in enumerate(cells):
             cfg, _ = new_configuration(n, values, crash=crash)
             scheduler = SeededRandomScheduler(seed=seed, fairness_bound=8)
-            assert enabled_deliveries(cfg) == scan(cfg)
-            while delivers := enabled_deliveries(cfg):
+            assert same_objects(cfg.enabled, live_entries(cfg))
+            while cfg.enabled:
                 twin = cfg.clone()
-                assert enabled_deliveries(twin) == delivers
-                apply_deliver(cfg, scheduler.next(cfg, delivers))
-                assert enabled_deliveries(cfg) == scan(cfg)
-                assert enabled_deliveries(twin) == delivers == scan(twin)
+                before = list(cfg.enabled)
+                assert twin.enabled is not cfg.enabled
+                apply_deliver(cfg, scheduler.next(cfg, cfg.enabled))
+                assert same_objects(cfg.enabled, live_entries(cfg))
+                assert same_objects(twin.enabled, before)
+                assert same_objects(twin.enabled, live_entries(twin))
             assert crash is None or cfg.crashed == crash.victim
+
+    def test_enabled_deliveries_is_a_copy(self):
+        # Callers outside the run loop get a list they may change.
+        cfg, _ = new_configuration(5, VALUES)
+        enabled = list(cfg.enabled)
+        delivers = enabled_deliveries(cfg)
+        assert delivers is not cfg.enabled and delivers == enabled
+        delivers.reverse()
+        delivers.pop()
+        assert cfg.enabled == enabled and cfg.enabled[0] is enabled[0]
+        apply_deliver(cfg, delivers[0])
+        assert cfg.enabled == enabled[:-1]
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_memoized_steps_match_plain_steps(self, n):
