@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="bounded exhaustive interleaving search")
     common(p)
     p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--max-configs", type=int, default=5_000_000)
+    p.add_argument("--max-configs", type=int, default=ExploreBounds.max_configs)
     p.add_argument("--chunks", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--trace", default=None, help="write a counterexample trace here")

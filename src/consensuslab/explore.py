@@ -23,7 +23,7 @@ from .properties import (
     safety_violation,
     terminal_violation,
 )
-from .protocol import MsgKind, Rules
+from .protocol import Rules
 from .scenario import Scenario, SchedulerSpec, bit_values, crash_grid
 from .schedulers import ScriptedScheduler
 from .simulation import (
@@ -32,7 +32,6 @@ from .simulation import (
     Deliver,
     apply_deliver,
     configuration_image,
-    enabled_deliveries,
     new_configuration,
 )
 from .trace import STATUS_COMPLETE, STATUS_STUCK, Trace, run, run_raw, scripted
@@ -82,8 +81,10 @@ class ExploreVerdict:
 
 
 def _witness(base: Scenario, events: list, prop: str) -> Trace:
-    """Package a failing schedule as a standalone trace and prove it fails."""
-    scenario = scripted(base, events)
+    """Package a failing schedule as a standalone trace and prove it fails.
+    The search has no event bound, so the trace's ``max_events`` is raised,
+    if need be, past its delivery count: the script, not the bound, ends it."""
+    scenario = scripted(replace(base, max_events=max(base.max_events, len(events) + 1)), events)
     trace = run(scenario)
     report = check_properties(trace)
     if report.check(prop).ok:
@@ -96,25 +97,6 @@ def _witness(base: Scenario, events: list, prop: str) -> Trace:
 # ---------------------------------------------------------------------------
 # Exhaustive interleaving search
 # ---------------------------------------------------------------------------
-
-# Sleep sets are bitmasks over message keys (sender, seq, dest).  A process
-# broadcasts each message kind at most once, so seq < len(MsgKind) and the
-# masks below cover every key.
-
-
-def _key_bit(m, n: int) -> int:
-    """The sleep-set bit of the message key (sender, seq, dest)."""
-    return 1 << ((m.seq * n + m.sender) * n + m.dest)
-
-
-def _independent(n: int) -> list:
-    """Per destination d, the mask keeping the keys whose destination is not d."""
-    same = [0] * n
-    for seq in range(len(MsgKind)):
-        for sender in range(n):
-            for dest in range(n):
-                same[dest] |= 1 << ((seq * n + sender) * n + dest)
-    return [~mask for mask in same]
 
 
 def _events(messages: list) -> list:
@@ -171,7 +153,7 @@ class _Tables:
         self.node_ids: dict = {}  # canonical_bytes -> node id
         self.msgs: list = []  # message id -> Message
         self.dest: list = []  # message id -> its destination
-        self.sleep_bits: list = []  # message id -> its sleep-set bit
+        self.to: list = [0] * n  # destination -> the mask of its message ids
         self.msg_ids: dict = {}  # Message -> message id
         self.steps: list = []  # message id -> {node id -> transition}
         self.commute: dict = {}  # (node id, message id a) -> {message id b -> commute}
@@ -179,7 +161,6 @@ class _Tables:
         self.class_ids: dict = {}  # (decided, decision_entry) -> class id
         self.verdicts: dict = {}  # class ids of a configuration -> safety_violation's
         self.values = list(base.values)
-        self.independent = _independent(n)
         self.crash_shift = n * _NODE_BITS
         self.mask_shift = self.crash_shift + n.bit_length()
 
@@ -208,7 +189,7 @@ class _Tables:
             mid = self.msg_ids[m] = len(self.msgs)
             self.msgs.append(m)
             self.dest.append(m.dest)
-            self.sleep_bits.append(_key_bit(m, self.n))
+            self.to[m.dest] |= 1 << mid
             self.steps.append({})
         return mid
 
@@ -286,28 +267,29 @@ class _Tables:
             row[b] = self.commute.setdefault((node, b), {})[a] = verdict
         return verdict
 
-    def sleep(self, nodes: list, enabled: list, crashed: Optional[int], tried: int,
-              mid: int) -> int:
+    def sleep(self, nodes: list, crashed: Optional[int], tried: int, mid: int) -> int:
         """The sleep set of the child that delivers message ``mid`` at the
-        configuration with processes ``nodes``, enabled message ids
-        ``enabled`` and crashed process ``crashed``, whose sleep set plus
-        the deliveries already made from it is ``tried`` (without ``mid``):
-        the deliveries in ``tried`` to other processes, and those to
-        ``mid``'s destination that commute with ``mid`` there."""
+        configuration with processes ``nodes`` and crashed process
+        ``crashed``, whose sleep set plus the deliveries already made from
+        it is the message-id mask ``tried`` (without ``mid``): the
+        deliveries in ``tried`` to other processes, and those to ``mid``'s
+        destination that commute with ``mid`` there.  Every delivery in
+        ``tried`` is enabled at that configuration."""
         d = self.dest[mid]
-        sleep = tried & self.independent[d]
-        same = tried & ~self.independent[d]
-        if same:
-            bits = self.sleep_bits
-            row = self.commute.get((nodes[d], mid), {})
-            for b in enabled:
-                bit = bits[b]
-                if same & bit:
-                    verdict = row.get(b)
-                    if verdict is None:
-                        verdict = self.commutes(nodes, crashed, mid, b)
-                    if verdict:
-                        sleep |= bit
+        same = tried & self.to[d]
+        if not same:
+            return tried
+        sleep = tried ^ same
+        row = self.commute.get((nodes[d], mid), {})
+        while same:
+            bit = same & -same
+            same ^= bit
+            b = bit.bit_length() - 1
+            verdict = row.get(b)
+            if verdict is None:
+                verdict = self.commutes(nodes, crashed, mid, b)
+            if verdict:
+                sleep |= bit
         return sleep
 
     def safety(self, nodes: list, crashed: Optional[int]) -> Optional[tuple]:
@@ -389,7 +371,8 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     set is its parent's sleep set plus the deliveries already made from
     the parent, less those that are dependent, at the parent, on the
     delivery that made the child (``_Tables.sleep``); ``sleep`` is the
-    sleep set of ``cfg0``.  A delivery in a sleep set is never made.
+    sleep set of ``cfg0``.  A sleep set is a mask of message ids, like the
+    buffer mask of the dedupe key.  A delivery in a sleep set is never made.
 
     Soundness: the search reaches the same terminal configurations as the
     unreduced search, and finds a violation iff the unreduced search does
@@ -442,12 +425,12 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     stats["configs"] += 1
     nodes0, key0, enabled0 = tables.start(cfg0)
     seen.add(key0)
-    steps, dest, sleep_bits, msgs = tables.steps, tables.dest, tables.sleep_bits, tables.msgs
+    steps, dest, msgs = tables.steps, tables.dest, tables.msgs
     finished0 = sum(1 << i for i, node in enumerate(nodes0) if tables.finished[node])
     # A frame is [node ids, dedupe key, enabled message ids in send order,
     # crashed process, children left, depth, sleep set plus the children
-    # tried so far, finished processes].  The children are iterated from
-    # the end, so the newest delivery is expanded first.
+    # tried so far as a message-id mask, finished processes].  The children
+    # are iterated from the end, so the newest delivery is expanded first.
     stack = [[nodes0, key0, enabled0, cfg0.crashed,
               reversed(_ample(enabled0, finished0, dest)), depth0, sleep, finished0]]
     path = list(prefix)
@@ -460,7 +443,7 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
             if len(path) > depth0:
                 path.pop()
             continue
-        bit = sleep_bits[mid]
+        bit = 1 << mid
         if tried & bit:
             continue  # asleep
         frame[6] = tried | bit
@@ -513,7 +496,7 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
             finished |= 1 << d
         children = _ample(nxt, finished, dest) if finished else nxt
         stack.append([child_nodes, key, nxt, child_crashed, reversed(children), depth + 1,
-                      tables.sleep(nodes, enabled, crashed, tried, mid), finished])
+                      tables.sleep(nodes, crashed, tried, mid), finished])
     return None
 
 
@@ -530,10 +513,12 @@ def _new_stats(budget: int) -> dict:
 
 
 def _explore_chunk(args, tables: Optional[_Tables] = None, collect: bool = False) -> dict:
-    """Search the roots ``first_keys`` on the search's interned states
-    ``tables``; a pool job, which gets none, builds its own.  The terminal
-    and frontier images are collected, as ``reached``, only if ``collect``."""
-    base, bounds, first_keys, budget = args
+    """Search the roots ``positions``, indices into the start
+    configuration's send-ordered ``enabled`` list, on the search's interned
+    states ``tables``; a pool job, which gets none, builds its own.  The
+    terminal and frontier images are collected, as ``reached``, only if
+    ``collect``."""
+    base, bounds, positions, budget = args
     tables = _Tables(base) if tables is None else tables
     cfg0, _ = new_configuration(
         base.n, list(base.values), crash=base.crash, rules=base.rules,
@@ -544,21 +529,17 @@ def _explore_chunk(args, tables: Optional[_Tables] = None, collect: bool = False
     seen: set = set()
     sink = set() if collect else None
     found = None
-    tried = 0  # the roots this chunk has searched, as sleep-set bits
-    for key in first_keys:
+    tried = 0  # the roots this chunk has searched, as a message-id mask
+    for i in positions:
         child = cfg0.clone()
-        entry = next(
-            e for e in enabled_deliveries(child)
-            if (e.message.sender, e.message.seq, e.message.dest) == tuple(key)
-        )
-        m = entry.message
+        entry = child.enabled[i]
         apply_deliver(child, entry)
-        mid = tables.message(m)
-        found = _dfs(child, base, bounds, [m], stats, seen, tables, sink,
-                     tables.sleep(nodes0, enabled0, cfg0.crashed, tried, mid))
+        mid = enabled0[i]
+        found = _dfs(child, base, bounds, [entry.message], stats, seen, tables, sink,
+                     tables.sleep(nodes0, cfg0.crashed, tried, mid))
         if found is not None or stats["exhausted"]:
             break
-        tried |= tables.sleep_bits[mid]
+        tried |= 1 << mid
     return {"stats": {k: stats[k] for k in ("configs", "dedupe_hits", "terminals", "frontier")},
             "truncated": stats["truncated"], "violation": found, "reached": sink}
 
@@ -602,13 +583,13 @@ def explore(
     this process, a pool job builds its own, and none outlives the call,
     because a process image leaves out the rules and the final quorum.
     """
+    scenario.validate()
     bounds.validate()
     cfg0, _ = new_configuration(
         scenario.n, list(scenario.values), crash=scenario.crash, rules=scenario.rules,
         final_quorum=scenario.final_quorum,
     )
-    roots = list(reversed(enabled_deliveries(cfg0)))  # newest first
-    root_keys = [(e.message.sender, e.message.seq, e.message.dest) for e in roots]
+    roots = range(len(cfg0.enabled))[::-1]  # positions, newest first
     tables = _Tables(scenario)  # this call's interned states: one scenario, never kept
 
     if chunks <= 1:
@@ -616,7 +597,7 @@ def explore(
         found = _dfs(cfg0, scenario, bounds, [], stats, set(), tables, sink=reach_sink)
         return _verdict_from(scenario, found, [stats], stats["truncated"])
 
-    groups = [root_keys[i::chunks] for i in range(chunks)]
+    groups = [roots[i::chunks] for i in range(chunks)]
     groups = [g for g in groups if g]
     budget = max(1, bounds.max_configs // len(groups))
     jobs = [(scenario, bounds, g, budget) for g in groups]

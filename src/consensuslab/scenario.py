@@ -25,6 +25,7 @@ from .protocol import KIND_BY_NAME, KIND_NAMES, MIN_PROCESSES, MsgKind, Rules
 from .simulation import CrashSpec, CrashPoint
 
 DEFAULT_MAX_EVENTS = 10_000
+DEFAULT_FAIRNESS_BOUND = 64
 MAX_PROCESSES = 255  # encode_vector stores a vector's width in one byte
 SCHEDULER_TYPES = ("seeded-random", "adversarial-lifo", "scripted")
 SCHEDULER_KEYS = ("type", "seed", "fairness_bound", "starve", "script", "drain_rest")
@@ -89,7 +90,7 @@ def _flag(section: dict, where: str, name: str, default: bool) -> bool:
 class SchedulerSpec:
     type: str = "seeded-random"
     seed: int = 0
-    fairness_bound: int = 64
+    fairness_bound: int = DEFAULT_FAIRNESS_BOUND
     starve: Optional[int] = None
     script: tuple = ()
     drain_rest: bool = False
@@ -199,7 +200,7 @@ class Scenario:
                 scheduler=SchedulerSpec(
                     type=sched.get("type", "seeded-random"),
                     seed=int(sched.get("seed", 0)),
-                    fairness_bound=int(sched.get("fairness_bound", 64)),
+                    fairness_bound=int(sched.get("fairness_bound", DEFAULT_FAIRNESS_BOUND)),
                     starve=sched.get("starve"),
                     script=tuple(tuple(item) for item in script),
                     drain_rest=_flag(sched, "scheduler", "drain_rest", False),

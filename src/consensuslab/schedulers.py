@@ -27,10 +27,8 @@ from typing import Optional
 
 from .errors import SimulatorBug
 from .protocol import MsgKind
-from .scenario import SchedulerSpec
+from .scenario import DEFAULT_FAIRNESS_BOUND, SchedulerSpec
 from .simulation import Configuration
-
-DEFAULT_FAIRNESS_BOUND = 64
 
 
 def _overdue(marks: deque, cfg: Configuration, delivers: list) -> bool:

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each printing its verdict line.
 
-Criterion 5 runs the exhaustive search at its full default budget and
-dominates the suite's runtime (tens of minutes on a small machine); run
-``pytest tests/test_acceptance.py -k "not criterion_5"`` while iterating.
+Criterion 5 runs the exhaustive search at its full default budget; it
+finds the agreement race in seconds (about 11 s with two workers on a
+2-vCPU machine).  Run ``pytest tests/test_acceptance.py -k "not
+criterion_5"`` to skip it while iterating.
 
 Criteria 4 and 5 accept either a fully clean sweep or a replayable
 counterexample; this protocol has reachable violations (see
@@ -185,8 +186,7 @@ def test_criterion_5_race_chunk_alone():
     bounds = ExploreBounds(max_configs=5_000_000)
     chunks = 16
     cfg0, _ = new_configuration(5, list(scenario.values))
-    roots = [(e.message.sender, e.message.seq, e.message.dest)
-             for e in reversed(enabled_deliveries(cfg0))]
+    roots = range(len(enabled_deliveries(cfg0)))[::-1]  # positions, newest first
     share = bounds.max_configs // chunks
     result = _explore_chunk((scenario, bounds, roots[chunks - 1::chunks], share))
     assert result["violation"] is not None

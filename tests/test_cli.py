@@ -73,6 +73,21 @@ def test_negative_fairness_bound_flag_is_rejected(clean_scenario_file, capsys):
     assert "fairness_bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, field",
+                         [("--max-events", "0", "max_events"),
+                          ("--fairness-bound", "-1", "fairness_bound")])
+def test_explore_rejects_the_flags_fuzz_rejects(tmp_path, capsys, flag, value, field):
+    # Victim 0 crashes before its initial broadcast: a search that passes
+    # within the default budget, so only validation makes this exit 1.
+    path = tmp_path / "scenario.json"
+    Scenario(n=5, values=tuple(default_values(5)),
+             crash=CrashSpec(0, CrashPoint.BEFORE, MsgKind.INITIAL)).save(path)
+    for command in (["fuzz", "--seeds", "1"], ["explore"]):
+        assert main([*command, str(path), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+
 def test_run_clean_scenario_exits_zero(clean_scenario_file, capsys, tmp_path):
     trace_path = tmp_path / "out.jsonl"
     code = main(["run", clean_scenario_file, "--trace", str(trace_path)])

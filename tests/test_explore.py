@@ -486,7 +486,7 @@ class TestExplore:
                             child = cfg.clone()
                             apply_deliver(child, child.buffer[first.send_index])
                             apply_deliver(child, child.buffer[second.send_index])
-                            images.append((child.dedupe_digest(), child.config_hash()))
+                            images.append(child.canonical_bytes())
                         assert images[0] == images[1], scenario
                         pairs += 1
         assert pairs > 1000
@@ -498,18 +498,18 @@ class TestExplore:
         # reach the same configuration in either order, with no crash.
         # Every sleep set a search builds is recorded with the configuration
         # it was built at; for each delivery b kept asleep by a true verdict,
-        # that configuration is rebuilt (its processes, crashed process and
-        # enabled messages; messages to a crashed process are left out, and
-        # no step reads them) and a then b and b then a are made by
-        # apply_deliver on clones.  Crash-free, in crash cells with deliveries
-        # to a pending victim, and under the four mutants, chunked (root sleep
-        # sets) and not.
+        # that configuration is rebuilt (its processes, crashed process, a
+        # and the messages of the sleep-set mask, all enabled there; the
+        # other messages are left out, and no step reads them) and a then b
+        # and b then a are made by apply_deliver on clones.  Crash-free, in
+        # crash cells with deliveries to a pending victim, and under the four
+        # mutants, chunked (root sleep sets) and not.
         calls = []
         sleep = _Tables.sleep
 
-        def recording(tables, nodes, enabled, crashed, tried, mid):
-            calls.append((tables, list(nodes), list(enabled), crashed, tried, mid))
-            return sleep(tables, nodes, enabled, crashed, tried, mid)
+        def recording(tables, nodes, crashed, tried, mid):
+            calls.append((tables, list(nodes), crashed, tried, mid))
+            return sleep(tables, nodes, crashed, tried, mid)
 
         monkeypatch.setattr(_Tables, "sleep", recording)
         base = Scenario(n=n, values=tuple(default_values(n)))
@@ -527,10 +527,11 @@ class TestExplore:
                 calls.clear()
                 explore(scenario, ExploreBounds(max_configs=2000), chunks=chunks)
                 done = set()
-                for tables, nodes, enabled, crashed, tried, a in calls:
+                for tables, nodes, crashed, tried, a in calls:
                     d = tables.dest[a]
-                    for b in enabled:
-                        if tables.dest[b] != d or not tried & tables.sleep_bits[b]:
+                    enabled = [i for i in range(tried.bit_length()) if tried >> i & 1] + [a]
+                    for b in enabled[:-1]:
+                        if tables.dest[b] != d:
                             continue
                         if not tables.commute[nodes[d], a][b]:
                             refused += 1
@@ -654,6 +655,21 @@ class TestExplore:
         verdict = explore(scenario, ExploreBounds(max_configs=100_000))
         assert verdict.outcome == OUTCOME_COUNTEREXAMPLE
         assert verdict.prop == "agreement"
+        assert replays_identically(verdict.trace)
+
+    def test_a_witness_longer_than_max_events_replays(self):
+        # The search has no event bound, so its witness can outrun the
+        # scenario's max_events; the witness trace raises its own bound, ends
+        # by its script, and still fails agreement.
+        crash = CrashSpec(4, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
+        scenario = replace(base_scenario(), crash=crash, rules=MUTANTS["adopt-full"],
+                           max_events=10)
+        verdict = explore(scenario, ExploreBounds(max_configs=100_000))
+        assert verdict.outcome == OUTCOME_COUNTEREXAMPLE and verdict.prop == "agreement"
+        deliveries = sum(isinstance(ev, Deliver) for ev in verdict.trace.events)
+        assert deliveries > scenario.max_events
+        assert verdict.trace.scenario.max_events > deliveries
+        assert "agreement" in check_properties(verdict.trace).failures()
         assert replays_identically(verdict.trace)
 
 
@@ -796,3 +812,44 @@ def test_seeded_schedules_are_pinned():
             scenario = replace(base, crash=cells[seed * len(cells) // 40], scheduler=spec)
             digest.update(run(scenario).to_jsonl().encode())
     assert digest.hexdigest() == PINNED_SCHEDULES
+
+
+def pinned_searches():
+    """The searches of the outcome pin below: at n=5 and n=6, the protocol
+    crash-free and in every ninth crash cell, and the four mutants
+    crash-free and in a mid-proposal crash cell; each on a 2,000-config
+    budget with and without a depth bound of 3, in one chunk and in four."""
+    for n in (5, 6):
+        base = Scenario(n=n, values=tuple(default_values(n)))
+        during = CrashSpec(n - 1, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
+        scenarios = [base] + [base.with_crash(c) for c in crash_grid(n)[1::9]]
+        scenarios += [replace(base, crash=crash, rules=rules)
+                      for rules in MUTANTS.values() for crash in (None, during)]
+        for scenario in scenarios:
+            for bounds in (ExploreBounds(max_configs=2000),
+                           ExploreBounds(max_depth=3, max_configs=2000)):
+                for chunks in (1, 4):
+                    yield scenario, bounds, chunks
+
+
+# The sha256 of those searches' outcomes.  Any change to what a search
+# stores, reaches or reports moves it; a renumbering of interned states
+# does not.
+PINNED_SEARCHES = "b45733680c2fe9e5245efc01ce6d099837acb3fb3271fcd9061acad9e1c2ee4f"
+
+
+def test_search_outcomes_are_pinned():
+    # Per search: the outcome, the property, the full stats, the witness
+    # trace as JSONL, and the sorted terminal and frontier images.
+    digest = hashlib.sha256()
+    searches = 0
+    for scenario, bounds, chunks in pinned_searches():
+        sink: set = set()
+        verdict = explore(scenario, bounds, chunks=chunks, reach_sink=sink)
+        digest.update(f"{verdict.outcome} {verdict.prop} {sorted(verdict.stats.items())}\n".encode())
+        digest.update((verdict.trace.to_jsonl() if verdict.trace else "-").encode())
+        for image in sorted(sink):
+            digest.update(image + b"\n")
+        searches += 1
+    assert searches > 150
+    assert digest.hexdigest() == PINNED_SEARCHES
