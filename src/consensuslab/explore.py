@@ -127,8 +127,8 @@ class _Tables:
     """The interned parts of one search's configurations (collapse
     compression: Holzmann, "State Compression in SPIN", SPIN 1997).
 
-    Each distinct process state gets a node id, interned by its
-    ``canonical_bytes``, and each distinct message a message id.  A
+    Each distinct process state gets a node id, interned by its exact
+    ``state_key``, and each distinct message a message id.  A
     configuration in the search is a list of node ids in pid order, the
     crashed process, and a bitmask of its buffered message ids; a search
     storing millions of configurations meets a few hundred process states
@@ -148,9 +148,8 @@ class _Tables:
         self.n = n = base.n
         self.crash = base.crash
         self.procs: list = []  # node id -> its Process, never mutated
-        self.images: list = []  # node id -> the process's canonical_bytes
         self.finished: list = []  # node id -> _finished(process)
-        self.node_ids: dict = {}  # canonical_bytes -> node id
+        self.node_ids: dict = {}  # state_key -> node id
         self.msgs: list = []  # message id -> Message
         self.dest: list = []  # message id -> its destination
         self.to: list = [0] * n  # destination -> the mask of its message ids
@@ -167,17 +166,16 @@ class _Tables:
     def node(self, proc) -> int:
         """The id of ``proc``'s state; a new state keeps ``proc`` itself,
         which must not be mutated afterwards."""
-        image = proc.canonical_bytes()
-        node = self.node_ids.get(image)
+        state = proc.state_key()
+        node = self.node_ids.get(state)
         if node is None:
             node = len(self.procs)
             if node >> _NODE_BITS:
                 raise ConsensusLabError(
                     f"more than 2^{_NODE_BITS} process states: too many for the dedupe key"
                 )
-            self.node_ids[image] = node
+            self.node_ids[state] = node
             self.procs.append(proc)
-            self.images.append(image)
             self.finished.append(_finished(proc))
             decision = (proc.decided, proc.decision_entry)
             self.classes.append(self.class_ids.setdefault(decision, len(self.class_ids)))
@@ -312,7 +310,8 @@ class _Tables:
         ``crashed`` and dedupe key ``key``."""
         mask = key >> self.mask_shift
         return configuration_image(
-            [self.images[i] for i in nodes], crashed, self.crash is not None and crashed is None,
+            [self.procs[i].canonical_bytes() for i in nodes], crashed,
+            self.crash is not None and crashed is None,
             [self.msgs[i] for i in range(mask.bit_length()) if mask >> i & 1],
         )
 
@@ -512,18 +511,21 @@ def _new_stats(budget: int) -> dict:
     }
 
 
-def _explore_chunk(args, tables: Optional[_Tables] = None, collect: bool = False) -> dict:
-    """Search the roots ``positions``, indices into the start
-    configuration's send-ordered ``enabled`` list, on the search's interned
-    states ``tables``; a pool job, which gets none, builds its own.  The
-    terminal and frontier images are collected, as ``reached``, only if
-    ``collect``."""
+def _start(base: Scenario) -> Configuration:
+    return new_configuration(base.n, list(base.values), crash=base.crash, rules=base.rules,
+                             final_quorum=base.final_quorum)[0]
+
+
+def _explore_chunk(args, tables: Optional[_Tables] = None, collect: bool = False,
+                   cfg0: Optional[Configuration] = None) -> dict:
+    """Search the roots ``positions``, indices into the send-ordered
+    ``enabled`` list of the start configuration ``cfg0``, on the search's
+    interned states ``tables``; a pool job, which gets neither, builds its
+    own, and ``cfg0`` is never changed.  The terminal and frontier images
+    are collected, as ``reached``, only if ``collect``."""
     base, bounds, positions, budget = args
     tables = _Tables(base) if tables is None else tables
-    cfg0, _ = new_configuration(
-        base.n, list(base.values), crash=base.crash, rules=base.rules,
-        final_quorum=base.final_quorum,
-    )
+    cfg0 = _start(base) if cfg0 is None else cfg0
     nodes0, _, enabled0 = tables.start(cfg0)
     stats = _new_stats(budget)
     seen: set = set()
@@ -579,16 +581,18 @@ def explore(
 
     The search runs on interned states (see ``_Tables``), and its dedupe
     key is exact: two configurations share a key iff they have the same
-    image.  One set of tables serves every root of every chunk searched in
-    this process, a pool job builds its own, and none outlives the call,
-    because a process image leaves out the rules and the final quorum.
+    image.  One set of tables and one start configuration serve every root
+    of every chunk searched in this process, a pool job builds its own, and
+    no table outlives the call, because a process image leaves out the
+    rules and the final quorum.
     """
     scenario.validate()
     bounds.validate()
-    cfg0, _ = new_configuration(
-        scenario.n, list(scenario.values), crash=scenario.crash, rules=scenario.rules,
-        final_quorum=scenario.final_quorum,
-    )
+    if chunks < 1:
+        raise ConfigError("chunks must be positive")
+    if workers < 1:
+        raise ConfigError("workers must be positive")
+    cfg0 = _start(scenario)  # one start configuration for every chunk searched here
     roots = range(len(cfg0.enabled))[::-1]  # positions, newest first
     tables = _Tables(scenario)  # this call's interned states: one scenario, never kept
 
@@ -603,7 +607,7 @@ def explore(
     jobs = [(scenario, bounds, g, budget) for g in groups]
     chunk = partial(_explore_chunk, collect=reach_sink is not None)
     if workers <= 1:
-        results = [chunk(job, tables) for job in jobs]
+        results = [chunk(job, tables, cfg0=cfg0) for job in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(chunk, jobs))
@@ -721,6 +725,8 @@ def fuzz(
     """
     if seed_count < 1:
         raise ConfigError("seed count must be positive")
+    if workers < 1:
+        raise ConfigError("workers must be positive")
     cells = crash_grid(base.n, exhaustive_subsets)
     stats = {
         "runs": 0,

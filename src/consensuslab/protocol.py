@@ -17,7 +17,6 @@ The network lives elsewhere (see :mod:`consensuslab.simulation`).
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -243,8 +242,8 @@ class Process:
 
         # Per-sender sequencing state (the in-order processing rule).
         self.next_seq = dict.fromkeys(self.peers, 0)
-        self.reorder: dict = {j: {} for j in self.peers}
-        self.seen_seqs: dict = {j: set() for j in self.peers}
+        self.reorder: dict = {}  # (sender, seq) -> a message held until its turn
+        self.seen_seqs: set = set()  # (sender, seq) delivered; unordered delivery only
 
         # Messages released by sequencing but ahead of our current phase.
         self.pending_proposals: list = []
@@ -263,6 +262,7 @@ class Process:
         self.seen_full_final: Optional[Vector] = None
         self.decided: Optional[Vector] = None
         self._canon: Optional[bytes] = None  # cached canonical_bytes
+        self._key: Optional[tuple] = None  # cached state_key
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -270,7 +270,7 @@ class Process:
         """Kick off participation by broadcasting the own input value."""
         if self.started:
             raise ProtocolViolation(f"P{self.pid} started twice")
-        self._canon = None
+        self._canon = self._key = None
         self.started = True
         return [self._broadcast(_INITIAL, self.input)]
 
@@ -292,24 +292,25 @@ class Process:
             raise SimulatorBug(f"message for P{msg.dest} delivered to P{self.pid}")
         if msg.sender == self.pid:
             raise ModelViolation("no self-delivery: broadcasts skip the sender")
-        self._canon = None
-        sender = msg.sender
+        self._canon = self._key = None
+        sender, seq = msg.sender, msg.seq
         if not self.rules.ordered_delivery:
-            if msg.seq in self.seen_seqs[sender]:
-                raise ModelViolation(f"duplicate delivery of seq {msg.seq} from P{sender}")
-            self.seen_seqs[sender].add(msg.seq)
+            if (sender, seq) in self.seen_seqs:
+                raise ModelViolation(f"duplicate delivery of seq {seq} from P{sender}")
+            self.seen_seqs.add((sender, seq))
             return [msg]
-        held = self.reorder[sender]
-        seq, expected = msg.seq, self.next_seq[sender]
-        if seq < expected or seq in held:
-            raise ModelViolation(f"duplicate delivery of seq {seq} from P{sender}")
+        held = self.reorder
+        expected = self.next_seq[sender]
         if seq != expected:
-            held[seq] = msg
+            # Every held seq is past its sender's next one.
+            if seq < expected or (sender, seq) in held:
+                raise ModelViolation(f"duplicate delivery of seq {seq} from P{sender}")
+            held[sender, seq] = msg
             return []
         released = [msg]
         expected += 1
-        while expected in held:
-            released.append(held.pop(expected))
+        while held and (sender, expected) in held:
+            released.append(held.pop((sender, expected)))
             expected += 1
         self.next_seq[sender] = expected
         return released
@@ -324,7 +325,7 @@ class Process:
         order, the moment the phase starts.
         """
         out: list = []
-        self._canon = None
+        self._canon = self._key = None
         kind = msg.kind
         if kind == _INITIAL:
             self._on_initial(msg.sender, msg.payload, out)
@@ -458,12 +459,12 @@ class Process:
     def clone(self) -> "Process":
         c = Process.__new__(Process)
         c.__dict__.update(self.__dict__)
-        # Every other field holds an immutable value; a mutable container
-        # added to the state must be copied here as well.
+        # Every mutable field is copied here and appears in both state_key
+        # and canonical_bytes; every other field holds an immutable value.
         c.known_values = dict(self.known_values)
         c.next_seq = dict(self.next_seq)
-        c.reorder = {j: dict(b) for j, b in self.reorder.items()}
-        c.seen_seqs = {j: set(s) for j, s in self.seen_seqs.items()}
+        c.reorder = dict(self.reorder)
+        c.seen_seqs = set(self.seen_seqs)
         c.pending_proposals = list(self.pending_proposals)
         c.pending_finals = list(self.pending_finals)
         c.first_tally = dict(self.first_tally)
@@ -471,9 +472,8 @@ class Process:
         return c
 
     def canonical_bytes(self) -> bytes:
-        """Deterministic byte image of the full state: the process's only
-        image, from which ``state_key``, the explorer's node ids and
-        ``Configuration.canonical_bytes`` are derived.
+        """Deterministic byte image of the full state, from which
+        ``Configuration.canonical_bytes`` and so every trace hash is derived.
 
         Cached between mutations: cloning a configuration and delivering one
         message recomputes the image of the one touched process only.  The
@@ -482,6 +482,8 @@ class Process:
         """
         if self._canon is not None:
             return self._canon
+        held = sorted(self.reorder.items())  # by (sender, seq)
+        seen = sorted(self.seen_seqs)
         state = (
             self.pid,
             self.n,
@@ -494,11 +496,9 @@ class Process:
             self.initial_count,
             tuple(sorted(self.known_values.items())),
             tuple(sorted(self.next_seq.items())),
-            tuple([
-                (j, tuple([encode_message(held[q]) for q in sorted(held)]) if held else ())
-                for j, held in sorted(self.reorder.items())
-            ]),
-            tuple([(j, tuple(sorted(seen))) for j, seen in sorted(self.seen_seqs.items())]),
+            tuple([(j, tuple([encode_message(m) for (s, _), m in held if s == j]))
+                   for j in self.peers]),
+            tuple([(j, tuple([q for s, q in seen if s == j])) for j in self.peers]),
             tuple(map(encode_message, self.pending_proposals)),
             tuple(map(encode_message, self.pending_finals)),
             self.first_proposal,
@@ -516,8 +516,20 @@ class Process:
         self._canon = ("(%s)" % ", ".join(map(_field_repr, state))).encode()
         return self._canon
 
-    def state_key(self) -> int:
-        """128-bit blake2b digest of :meth:`canonical_bytes`."""
-        return int.from_bytes(
-            hashlib.blake2b(self.canonical_bytes(), digest_size=16).digest(), "big"
-        )
+    def state_key(self) -> tuple:
+        """The exact hashable key of the state, by which the explorer interns
+        processes: a tuple of every field ``canonical_bytes`` encodes, those
+        whose order is arbitrary as frozensets, so two processes share a key
+        iff they share an image.  Cached between mutations, like the image."""
+        if self._key is None:
+            self._key = (
+                self.pid, self.n, self.phase, self.started, self.second_sent, self.sent_seq,
+                self.input, self.output, self.initial_count,
+                frozenset(self.known_values.items()), tuple(self.next_seq.values()),
+                frozenset(self.reorder.values()), frozenset(self.seen_seqs),
+                tuple(self.pending_proposals), tuple(self.pending_finals),
+                self.first_proposal, frozenset(self.first_tally.items()), self.second_count,
+                self.second_value, self.completion, self.decision_entry,
+                tuple(self.final_slots), self.final_count, self.seen_full_final, self.decided,
+            )
+        return self._key

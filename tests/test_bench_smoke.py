@@ -25,3 +25,20 @@ def test_a_short_benchmark_run_is_correct(workload):
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_a_traced_search_interns_process_states_by_their_key():
+    # The traced path runs end to end, and its layer counts show where a
+    # search's transition-table misses go: each new process state is
+    # interned by its exact state_key, and no process image is built.
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "explore-n5", "--seed", "1",
+         "--seconds", "0.01", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    metrics = result["metrics"]
+    assert metrics["protocol.state_key.calls"]["value"] > 0
+    assert metrics["protocol.canonical_bytes.calls"]["value"] == 0

@@ -75,7 +75,9 @@ def test_negative_fairness_bound_flag_is_rejected(clean_scenario_file, capsys):
 
 @pytest.mark.parametrize("flag, value, field",
                          [("--max-events", "0", "max_events"),
-                          ("--fairness-bound", "-1", "fairness_bound")])
+                          ("--fairness-bound", "-1", "fairness_bound"),
+                          ("--workers", "0", "workers"),
+                          ("--workers", "-2", "workers")])
 def test_explore_rejects_the_flags_fuzz_rejects(tmp_path, capsys, flag, value, field):
     # Victim 0 crashes before its initial broadcast: a search that passes
     # within the default budget, so only validation makes this exit 1.
@@ -86,6 +88,16 @@ def test_explore_rejects_the_flags_fuzz_rejects(tmp_path, capsys, flag, value, f
         assert main([*command, str(path), flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_explore_rejects_a_chunk_count_below_one(tmp_path, capsys, value):
+    path = tmp_path / "scenario.json"
+    Scenario(n=5, values=tuple(default_values(5)),
+             crash=CrashSpec(0, CrashPoint.BEFORE, MsgKind.INITIAL)).save(path)
+    assert main(["explore", str(path), "--chunks", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "chunks" in err
 
 
 def test_run_clean_scenario_exits_zero(clean_scenario_file, capsys, tmp_path):

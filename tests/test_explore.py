@@ -333,7 +333,8 @@ class TestExplore:
         # clone, once per transition and crashed process, and must give the
         # same process image, the same sent messages in send order, the same
         # crash outcome and decision change, and a child whose image is that
-        # of the parent's key plus the transition's delta.  The commutation
+        # of the parent's key plus the transition's delta.  The interning
+        # key is exact: no two node ids share a process image.  The commutation
         # check of the sleep sets also makes transitions at configurations
         # the search never stores (a then b, where b is asleep after a, say);
         # each of those is checked the same way at the configuration of the
@@ -362,7 +363,7 @@ class TestExplore:
                     child = cfg.clone()
                     events = apply_deliver(child, child.buffer[entry.send_index])
                     before, after = cfg.processes[d], child.processes[d]
-                    assert tables.images[new] == after.canonical_bytes()
+                    assert tables.procs[new].canonical_bytes() == after.canonical_bytes()
                     assert [tables.msgs[i] for i in sent] == [
                         e.message for e in child.buffer.values()
                         if e.send_index >= cfg.next_send_index
@@ -383,7 +384,7 @@ class TestExplore:
                                             rules=scenario.rules)
                 seen: set = set()
                 _dfs(cfg0, scenario, bounds, [], _new_stats(bounds.max_configs), seen, tables)
-                start = [tables.node_ids[p.canonical_bytes()] for p in cfg0.processes]
+                start = [tables.node_ids[p.state_key()] for p in cfg0.processes]
                 for key in seen:
                     check(key)
             interned = {(i, node) for i, table in enumerate(tables.steps) for node in table}
@@ -394,6 +395,8 @@ class TestExplore:
                       + (1 << mid << tables.mask_shift))
                 unstored += 1
             assert {(i, node) for i, node, _ in checked} == interned, scenario
+            images = {p.canonical_bytes() for p in tables.procs}
+            assert len(images) == len(tables.procs), scenario
             made += len(interned)
         assert bites and to_victim > bites and made > 100 * len(scenarios) and unstored
 

@@ -323,6 +323,31 @@ class TestDeterminism:
         feed(c, msg(1, 0, 1, MsgKind.FIRST, (None, V[1], V[2], V[3], V[4])))
         assert p.canonical_bytes() != c.canonical_bytes()
 
+    def test_clone_copies_the_sequencing_state(self):
+        # A clone that releases a held message leaves the original holding
+        # it: the original's key and image are those of a twin that never
+        # had a clone.
+        held = msg(1, 0, 1, MsgKind.FIRST, (V[0], V[1], V[2], V[3], None))
+        p, twin = fresh(0), fresh(0)
+        assert p.ingest(held) == twin.ingest(held) == []
+        c = p.clone()
+        assert [m.seq for m in c.ingest(msg(1, 0, 0, MsgKind.INITIAL, V[1]))] == [0, 1]
+        assert c.state_key() != twin.state_key()
+        assert p.state_key() == twin.state_key()
+        assert p.canonical_bytes() == twin.canonical_bytes()
+
+    def test_unordered_clone_keeps_its_delivered_seqs(self):
+        # Without ordered delivery a clone still rejects a duplicate, and
+        # what a clone is delivered is not delivered to the original.
+        p = Process(0, 5, V[0], rules=Rules(ordered_delivery=False))
+        initial = msg(1, 0, 0, MsgKind.INITIAL, V[1])
+        p.ingest(initial)
+        with pytest.raises(ModelViolation):
+            p.clone().ingest(initial)
+        other = msg(2, 0, 0, MsgKind.INITIAL, V[2])
+        p.clone().ingest(other)
+        assert p.ingest(other) == [other]
+
 
 class TestVectorEncoding:
     @given(

@@ -106,7 +106,8 @@ class TestBuffer:
         # image, the same sent messages in send order and the same crash
         # outcome.  One table serves both runs of a crash cell, so the
         # second run mostly hits it, and a table process mutated after it
-        # was interned would show up as a mismatch.
+        # was interned would show up as a mismatch.  The interning key is
+        # exact: no two node ids share a process image.
         values = default_values(n)
         cells = [None, CrashSpec(n // 2, CrashPoint.BEFORE, MsgKind.INITIAL)]
         cells += [c for c in crash_grid(n)[1:] if c.victim == 1][::2]
@@ -125,12 +126,14 @@ class TestBuffer:
                     new, _, sent, bit, _ = step or tables.step(nodes, mid, cfg.crashed)
                     index, cfg = cfg.next_send_index, cfg.clone()
                     bites = apply_deliver(cfg, cfg.buffer[entry.send_index])
-                    assert tables.images[new] == cfg.processes[d].canonical_bytes()
+                    assert tables.procs[new].canonical_bytes() == cfg.processes[d].canonical_bytes()
                     assert [tables.msgs[i] for i in sent] == [
                         e.message for e in cfg.buffer.values() if e.send_index >= index
                     ]
                     assert bit == bool(bites)
                 assert crash is None or cfg.crashed == crash.victim
+            images = {p.canonical_bytes() for p in tables.procs}
+            assert len(images) == len(tables.procs), crash
         assert hits
 
     @pytest.mark.parametrize("n", [5, 15])
