@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import __version__
 from .binary import commutativity_check
@@ -38,8 +39,15 @@ class _Out:
 
     def flush(self) -> None:
         if self.report_path:
-            with open(self.report_path, "w") as fh:
-                fh.write("\n".join(self.lines) + "\n")
+            _write(self.report_path, "\n".join(self.lines) + "\n")
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` to ``path``; ConfigError if it cannot be written."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -79,7 +87,7 @@ def _cmd_run(args) -> int:
     out.line(f"properties: {report.summary()}")
     out.flush()
     if args.trace:
-        trace.save(args.trace)
+        _write(args.trace, trace.to_jsonl())
     return EXIT_OK if report.all_ok else EXIT_VIOLATION
 
 
@@ -115,7 +123,7 @@ def _cmd_fuzz(args) -> int:
         rep = check_properties(verdict.trace)
         out.line(f"counterexample properties: {rep.summary()}")
         if args.trace:
-            verdict.trace.save(args.trace)
+            _write(args.trace, verdict.trace.to_jsonl())
             out.line(f"counterexample trace written to {args.trace}")
     out.flush()
     return verdict.exit_code
@@ -128,7 +136,7 @@ def _cmd_explore(args) -> int:
     out = _Out(args.report)
     out.line(f"explore: {verdict.summary()}")
     if verdict.trace is not None and args.trace:
-        verdict.trace.save(args.trace)
+        _write(args.trace, verdict.trace.to_jsonl())
         out.line(f"counterexample trace written to {args.trace}")
     out.flush()
     return verdict.exit_code

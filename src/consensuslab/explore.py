@@ -10,6 +10,7 @@ trace is attached (``counterexample``), or a budget ran out first
 from __future__ import annotations
 
 import concurrent.futures
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
@@ -23,13 +24,13 @@ from .properties import (
     safety_violation,
     terminal_violation,
 )
-from .protocol import Rules
+from .protocol import Message, Rules
 from .scenario import Scenario, SchedulerSpec, bit_values, crash_grid
 from .schedulers import ScriptedScheduler
 from .simulation import (
-    BufferEntry,
     Configuration,
     Deliver,
+    _anchored,
     apply_deliver,
     configuration_image,
     new_configuration,
@@ -110,16 +111,6 @@ def _finished(proc) -> bool:
     return proc.second_sent and proc.decided is not None
 
 
-def _ample(enabled: list, finished: int, dest: list) -> list:
-    """The message ids to deliver among ``enabled``: the newest one whose
-    destination (``dest[id]``) is in the bitmask ``finished``, alone, if
-    there is one; otherwise all of them."""
-    for mid in reversed(enabled):
-        if finished >> dest[mid] & 1:
-            return [mid]
-    return enabled
-
-
 _NODE_BITS = 20  # the width of one process's state id in a dedupe key
 
 
@@ -137,11 +128,12 @@ class _Tables:
     above them, and the buffer mask above that.  A node id that outgrows
     its field raises instead of aliasing another state.
 
-    ``step`` makes each transition once, by ``apply_deliver``.  ``commutes``
-    memoizes, per node id, whether two deliveries to that process commute,
-    and ``safety`` the safety verdict per tuple of decision classes.  The tables
-    describe one scenario's configurations (the image leaves out the rules
-    and the final quorum), so they serve one ``explore`` call only.
+    ``step`` makes each transition once, on a clone of the destination's
+    ``Process``.  ``commutes`` memoizes, per node id, whether two deliveries
+    to that process commute, and ``safety`` the safety verdict per tuple of
+    decision classes.  The tables describe one scenario's configurations
+    (the image leaves out the rules and the final quorum), so they serve
+    one ``explore`` call only.
     """
 
     def __init__(self, base: Scenario):
@@ -200,68 +192,67 @@ class _Tables:
         key += sum(1 << self.message(e.message) for e in cfg.buffer.values()) << self.mask_shift
         return nodes, key, [self.message(e.message) for e in cfg.enabled]
 
-    def step(self, nodes: list, mid: int, crashed: Optional[int]) -> tuple:
-        """The transition that delivers message ``mid`` at a configuration
-        with processes ``nodes`` and crashed process ``crashed``: (the
+    def step(self, node: int, mid: int, crashed: Optional[int]) -> tuple:
+        """The transition that delivers message ``mid`` to its destination
+        in state ``node``, with crashed process ``crashed``: (the
         destination's new node id, the change of the dedupe key, the sent
         message ids in send order, whether a crash bit, whether the
         destination's decision or decision-stage entry changed).
 
-        Made by ``apply_deliver`` on a configuration whose buffer holds only
-        that message.  The destination's step reads its own state, the
-        message and the crash anchor, and nothing else of the
+        Made on a clone of the destination's ``Process``, as
+        ``apply_deliver`` makes it, with the crash anchor of
+        ``simulation._anchored``.  The destination's step reads its own
+        state, the message and the crash anchor, and nothing else of the
         configuration: so a transition is keyed by (node id, message id)
         alone.  A pending crash's victim is pending at every delivery to
         it, since once crashed it gets none.
         """
-        m = self.msgs[mid]
-        d, old = m.dest, nodes[m.dest]
-        entry = BufferEntry(m, 0)
-        cfg = Configuration(processes=[self.procs[i] for i in nodes], buffer={0: entry},
-                            enabled=[entry], next_send_index=1, crashed=crashed,
-                            crash_pending=self.crash if crashed is None else None, shared=True)
-        bites = bool(apply_deliver(cfg, entry))
-        new = self.node(cfg.processes[d])
-        sent = [self.message(e.message) for e in cfg.buffer.values()]
-        delta = (new - old) << (_NODE_BITS * d)
+        m, before = self.msgs[mid], self.procs[node]
+        d, proc, pending = m.dest, before.clone(), self.crash if crashed is None else None
+        copies, bites = [], False
+        for msg in proc.ingest(m):
+            for kind, payload, seq in proc.process(msg):
+                dests, bites = _anchored(pending, d, proc.peers, kind)
+                copies += [Message(d, to, seq, kind, payload) for to in dests]
+                if bites:
+                    break
+            if bites:
+                break  # the victim died mid-step; it takes no further steps
+        new = self.node(proc)
+        sent = [self.message(c) for c in copies]
+        delta = (new - node) << (_NODE_BITS * d)
         delta += (sum(1 << s for s in sent) - (1 << mid)) << self.mask_shift
         if bites:
             delta += (d + 1) << self.crash_shift
-        before, after = self.procs[old], self.procs[new]
-        changed = after.decided != before.decided or after.decision_entry != before.decision_entry
-        step = self.steps[mid][old] = (new, delta, sent, bites, changed)
+        changed = proc.decided != before.decided or proc.decision_entry != before.decision_entry
+        step = self.steps[mid][node] = (new, delta, sent, bites, changed)
         return step
 
-    def _two_steps(self, nodes: list, crashed: Optional[int], first: int, second: int):
-        """The destination's node id after delivering ``first`` and then
-        ``second``, both to it, and the set of message ids the two sent; None
-        if either bites a crash."""
-        d = self.dest[first]
-        step = self.steps[first].get(nodes[d]) or self.step(nodes, first, crashed)
+    def _two_steps(self, node: int, crashed: Optional[int], first: int, second: int):
+        """The node id of the common destination, in state ``node``, after
+        delivering ``first`` and then ``second``, and the set of message ids
+        the two sent; None if either bites a crash."""
+        step = self.steps[first].get(node) or self.step(node, first, crashed)
         if step[3]:
             return None
-        between = nodes.copy()
-        between[d] = step[0]
-        last = self.steps[second].get(step[0]) or self.step(between, second, crashed)
+        last = self.steps[second].get(step[0]) or self.step(step[0], second, crashed)
         if last[3]:
             return None
         return last[0], frozenset(step[2] + last[2])
 
-    def commutes(self, nodes: list, crashed: Optional[int], a: int, b: int) -> bool:
-        """Do deliveries ``a`` and ``b`` to the same process d commute at the
-        configuration with processes ``nodes`` and crashed process
-        ``crashed``?  They do when neither order bites a crash and both end
-        in the same node id for d having sent the same messages: then a
-        then b and b then a reach the same configuration.  Both are steps of
-        d alone (see ``step``), so the verdict depends only on d's node id;
-        it is memoized in ``commute[node id, a][b]`` and
-        ``commute[node id, b][a]``."""
-        node = nodes[self.dest[a]]
+    def commutes(self, node: int, crashed: Optional[int], a: int, b: int) -> bool:
+        """Do deliveries ``a`` and ``b`` to the same process d, in state
+        ``node``, commute with crashed process ``crashed``?  They do when
+        neither order bites a crash and both end in the same node id for d
+        having sent the same messages: then a then b and b then a reach the
+        same configuration.  Both are steps of d alone (see ``step``), so
+        the verdict depends only on d's node id; it is memoized in
+        ``commute[node, a][b]`` and ``commute[node, b][a]``."""
         row = self.commute.setdefault((node, a), {})
         verdict = row.get(b)
         if verdict is None:
-            ends = self._two_steps(nodes, crashed, a, b)
-            verdict = ends is not None and ends == self._two_steps(nodes, crashed, b, a)
+            ends = self._two_steps(node, crashed, a, b)
+            verdict = ends is not None and ends == self._two_steps(node, crashed, b, a)
             row[b] = self.commute.setdefault((node, b), {})[a] = verdict
         return verdict
 
@@ -278,14 +269,15 @@ class _Tables:
         if not same:
             return tried
         sleep = tried ^ same
-        row = self.commute.get((nodes[d], mid), {})
+        node = nodes[d]
+        row = self.commute.get((node, mid), {})
         while same:
             bit = same & -same
             same ^= bit
             b = bit.bit_length() - 1
             verdict = row.get(b)
             if verdict is None:
-                verdict = self.commutes(nodes, crashed, mid, b)
+                verdict = self.commutes(node, crashed, mid, b)
             if verdict:
                 sleep |= bit
         return sleep
@@ -361,7 +353,7 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     configuration with an enabled delivery to a finished process, the
     search makes only that delivery (the newest such), a singleton ample
     set (Peled 1993); otherwise it makes every enabled delivery outside
-    the sleep set.  Each stack frame carries the bitmask of the finished
+    the sleep set.  The search carries the bitmask of the finished
     processes, which only grows along a path, so the enabled deliveries
     are scanned for the rule only when the mask is nonzero.
 
@@ -413,102 +405,173 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     The safety check runs on a new configuration only if the delivery
     changed its destination's decision or decision-stage entry: the parent
     passed it, and nothing else it reads can change.  Its verdict is
-    memoized by the processes' decision classes (``_Tables.safety``).
+    memoized by the processes' decision classes (``_Tables.safety``).  The
+    loop is ``_Search.run``.
     """
-    values = list(base.values)
-    max_depth = bounds.max_depth
-    depth0 = len(prefix)
-    v = safety_violation(cfg0, values)
-    if v is not None:
-        return v[0], _events(prefix)
-    stats["configs"] += 1
-    nodes0, key0, enabled0 = tables.start(cfg0)
-    seen.add(key0)
-    steps, dest, msgs = tables.steps, tables.dest, tables.msgs
-    finished0 = sum(1 << i for i, node in enumerate(nodes0) if tables.finished[node])
-    # A frame is [node ids, dedupe key, enabled message ids in send order,
-    # crashed process, children left, depth, sleep set plus the children
-    # tried so far as a message-id mask, finished processes].  The children
-    # are iterated from the end, so the newest delivery is expanded first.
-    stack = [[nodes0, key0, enabled0, cfg0.crashed,
-              reversed(_ample(enabled0, finished0, dest)), depth0, sleep, finished0]]
-    path = list(prefix)
-    while stack:
-        frame = stack[-1]
-        nodes, key, enabled, crashed, children, depth, tried, finished = frame
-        mid = next(children, -1)
-        if mid < 0:
-            stack.pop()
-            if len(path) > depth0:
-                path.pop()
-            continue
-        bit = 1 << mid
-        if tried & bit:
-            continue  # asleep
-        frame[6] = tried | bit
-        d = dest[mid]
-        step = steps[mid].get(nodes[d])
-        if step is None:
-            step = tables.step(nodes, mid, crashed)
-        new, delta, sent, bites, changed = step
-        key += delta
-        if key in seen:
-            stats["dedupe_hits"] += 1
-            continue
-        seen.add(key)
+    return _Search(cfg0, base, bounds, prefix, stats, seen, tables, sink, sleep).run(
+        stats["budget"])
+
+
+_COUNTS = ("configs", "dedupe_hits", "terminals", "frontier")
+
+
+class _Search:
+    """One ``_dfs`` search whose stack, path, seen set and counts survive
+    a budget stop: ``run(budget)`` carries on where the last call stopped,
+    so a search run in slices stores what one run stores, in its order.
+
+    Only a configuration with several deliveries to make, less its sleep
+    set, gets a stack frame.  Through one with a single delivery the loop
+    descends in place, overwriting node ids and an enabled list that no
+    frame holds; and since a delivery to a finished process sends nothing
+    and finishes no one, the child's scan for the rule starts below it."""
+
+    def __init__(self, cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
+                 seen: set, tables: _Tables, sink: Optional[set] = None, sleep: int = 0):
+        self.values, self.prefix, self.depth0 = list(base.values), list(prefix), len(prefix)
+        self.stats, self.seen, self.tables, self.sink = stats, seen, tables, sink
+        depth = sys.maxsize if bounds.max_depth is None else bounds.max_depth
+        self.limit = max(depth, self.depth0 + 1)  # the frontier's depth; cfg0 is expanded
+        self.path: list = []  # the message ids delivered from cfg0
+        # A frame is [node ids, dedupe key, enabled message ids in send order,
+        # crashed process, children (taken newest first, from the end), how
+        # many are left, depth, sleep set plus the children tried, finished
+        # processes].  ``here``, the configuration to expand next, is (node
+        # ids, key, enabled ids, crashed, depth, sleep set, finished, the
+        # position the scan for the one-delivery rule starts at).
+        self.stack: list = []
+        self.here = self.found = None
+        v = safety_violation(cfg0, self.values)
+        if v is not None:
+            self.found = v[0], _events(prefix)
+            return
         stats["configs"] += 1
-        path.append(msgs[mid])
-        child_nodes = nodes.copy()
-        child_nodes[d] = new
-        nxt = enabled.copy()
-        nxt.remove(mid)
-        child_crashed = d if bites else crashed
-        if bites:
-            nxt = [i for i in nxt if dest[i] != d]
-        nxt += sent if child_crashed is None else [i for i in sent if dest[i] != child_crashed]
-        if changed:
-            v = tables.safety(child_nodes, child_crashed)
-            if v is not None:
-                return v[0], _events(path)
-        if not nxt:
-            stats["terminals"] += 1
-            if sink is not None:
-                sink.add(tables.image(child_nodes, child_crashed, key))
-            child = tables.configuration(child_nodes, child_crashed)
-            status = STATUS_COMPLETE if child.all_alive_decided() else STATUS_STUCK
-            v = terminal_violation(child, values, status)
-            if v is not None:
-                return v[0], _events(path)
-            path.pop()
-            continue
-        if stats["configs"] >= stats["budget"]:
-            stats["truncated"] = stats["exhausted"] = True
-            return None
-        if max_depth is not None and depth + 1 >= max_depth:
-            stats["frontier"] += 1
-            stats["truncated"] = True
-            if sink is not None:
-                sink.add(tables.image(child_nodes, child_crashed, key))
-            path.pop()
-            continue
-        if not finished >> d & 1 and tables.finished[new]:
-            finished |= 1 << d
-        children = _ample(nxt, finished, dest) if finished else nxt
-        stack.append([child_nodes, key, nxt, child_crashed, reversed(children), depth + 1,
-                      tables.sleep(nodes, crashed, tried, mid), finished])
-    return None
+        nodes, key, enabled = tables.start(cfg0)
+        seen.add(key)
+        finished = sum(1 << i for i, node in enumerate(nodes) if tables.finished[node])
+        self.here = (nodes, key, enabled, cfg0.crashed, self.depth0, sleep, finished,
+                     len(enabled) - 1)
+
+    def run(self, budget: int):
+        """Search on until ``budget`` configurations are stored in all
+        (then ``stats["exhausted"]``, and a later call resumes), a property
+        fails, or nothing is left.  Returns (property, witness_events) or
+        None."""
+        stats, here = self.stats, self.here
+        if stats["exhausted"]:  # resuming after a budget stop
+            if stats["configs"] >= budget:
+                return None
+            # Until the stop, only the frontier had truncated the search.
+            stats["exhausted"], stats["truncated"] = False, stats["frontier"] > 0
+        self.here = None
+        tables, seen, sink, path, stack = self.tables, self.seen, self.sink, self.path, self.stack
+        steps, dest, to, ends = tables.steps, tables.dest, tables.to, tables.finished
+        step_of, sleep_of, safety = tables.step, tables.sleep, tables.safety
+        limit, depth0, values = self.limit, self.depth0, self.values
+        configs, hits, terminals, frontier = [stats[k] for k in _COUNTS]
+        expand = here is not None
+        if expand:
+            nodes, key, enabled, crashed, depth, sleep, finished, top = here
+        elif not stack:
+            return self.found
+        try:
+            while True:
+                p = -1
+                if expand:
+                    if depth >= limit:
+                        frontier += 1
+                        stats["truncated"] = True
+                        if sink is not None:
+                            sink.add(tables.image(nodes, crashed, key))
+                        expand = False
+                    else:
+                        if finished:  # the newest delivery at or below top to a finished process
+                            p = top
+                            while p >= 0 and not finished >> dest[enabled[p]] & 1:
+                                p -= 1
+                        if p < 0:
+                            children = [i for i in enabled if not sleep >> i & 1] if sleep else enabled
+                            stack.append([nodes, key, enabled, crashed, children, len(children),
+                                          depth, sleep, finished])
+                            expand = False
+                        elif sleep >> enabled[p] & 1:
+                            expand = False  # its one delivery is asleep
+                if expand:
+                    mid = enabled[p]
+                else:  # the next child of the newest frame with one left
+                    p = -1
+                    while stack and not stack[-1][5]:
+                        stack.pop()
+                    if not stack:
+                        return None
+                    frame = stack[-1]
+                    nodes, key, enabled, crashed, children, i, depth, sleep, finished = frame
+                    mid = children[i - 1]
+                    frame[5], frame[7] = i - 1, sleep | 1 << mid
+                    del path[depth - depth0:]
+                # Deliver mid; ``sleep`` is the sleep set plus the children
+                # tried so far of the configuration it is delivered at.
+                d = dest[mid]
+                node = nodes[d]
+                new, delta, sent, bites, changed = (steps[mid].get(node)
+                                                    or step_of(node, mid, crashed))
+                key += delta
+                if key in seen:
+                    hits += 1
+                    expand = False
+                    continue
+                seen.add(key)
+                configs += 1
+                if sleep & to[d]:  # else the child's sleep set is the same mask
+                    sleep = sleep_of(nodes, crashed, sleep, mid)
+                if p < 0:
+                    nodes, enabled = nodes.copy(), enabled.copy()
+                    enabled.remove(mid)
+                else:
+                    del enabled[p]
+                nodes[d] = new
+                if bites:
+                    crashed = d
+                    enabled = [i for i in enabled if dest[i] != d]
+                if sent:
+                    enabled += sent if crashed is None else [i for i in sent if dest[i] != crashed]
+                top = p - 1 if p >= 0 and not sent and not bites else len(enabled) - 1
+                if not finished >> d & 1 and ends[new]:
+                    finished |= 1 << d
+                depth += 1
+                path.append(mid)
+                if changed:
+                    v = safety(nodes, crashed)
+                    if v is not None:
+                        return self._violation(v[0])
+                if not enabled:
+                    terminals += 1
+                    if sink is not None:
+                        sink.add(tables.image(nodes, crashed, key))
+                    child = tables.configuration(nodes, crashed)
+                    status = STATUS_COMPLETE if child.all_alive_decided() else STATUS_STUCK
+                    v = terminal_violation(child, values, status)
+                    if v is not None:
+                        return self._violation(v[0])
+                    expand = False
+                    continue
+                expand = True
+                if configs >= budget:
+                    self.here = (nodes, key, enabled, crashed, depth, sleep, finished, top)
+                    stats["truncated"] = stats["exhausted"] = True
+                    return None
+        finally:
+            stats.update(zip(_COUNTS, (configs, hits, terminals, frontier)))
+
+    def _violation(self, prop: str) -> tuple:
+        self.stack.clear()
+        self.found = prop, _events(self.prefix + [self.tables.msgs[i] for i in self.path])
+        return self.found
 
 
 def _new_stats(budget: int) -> dict:
-    return {
-        "configs": 0,
-        "dedupe_hits": 0,
-        "terminals": 0,
-        "frontier": 0,
-        "truncated": False,  # some configuration was left unexpanded
-        "exhausted": False,  # the budget ran out
-        "budget": budget,
-    }
+    # truncated: some configuration was left unexpanded; exhausted: the budget ran out
+    return {**dict.fromkeys(_COUNTS, 0), "truncated": False, "exhausted": False, "budget": budget}
 
 
 def _start(base: Scenario) -> Configuration:
@@ -542,7 +605,7 @@ def _explore_chunk(args, tables: Optional[_Tables] = None, collect: bool = False
         if found is not None or stats["exhausted"]:
             break
         tried |= 1 << mid
-    return {"stats": {k: stats[k] for k in ("configs", "dedupe_hits", "terminals", "frontier")},
+    return {"stats": {k: stats[k] for k in _COUNTS},
             "truncated": stats["truncated"], "violation": found, "reached": sink}
 
 
@@ -624,10 +687,7 @@ def explore(
 
 
 def _verdict_from(scenario, found, stats_list, truncated) -> ExploreVerdict:
-    stats = {
-        k: sum(s.get(k, 0) for s in stats_list)
-        for k in ("configs", "dedupe_hits", "terminals", "frontier")
-    }
+    stats = {k: sum(s.get(k, 0) for s in stats_list) for k in _COUNTS}
     if found is not None:
         prop, events = found
         return ExploreVerdict(

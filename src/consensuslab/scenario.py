@@ -217,16 +217,23 @@ class Scenario:
     @classmethod
     def load(cls, path) -> "Scenario":
         p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"scenario file not found: {p}")
         try:
-            data = json.loads(p.read_text())
+            data = json.loads(_read_input(p, "scenario"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"scenario file {p} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+
+
+def _read_input(path: Path, what: str) -> str:
+    """The text of the ``what`` file at ``path``; ConfigError if it is
+    missing, not a readable file, or not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 # Crash grid ------------------------------------------------------------------

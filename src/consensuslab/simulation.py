@@ -271,13 +271,7 @@ def _materialize(cfg: Configuration, sender: int, broadcasts: list) -> list:
     peers = cfg.processes[sender].peers
     for kind, payload, seq in broadcasts:
         spec = cfg.crash_pending
-        bite = spec is not None and spec.victim == sender and spec.kind == kind
-        dests = peers
-        if bite:
-            if spec.point == _BEFORE:
-                dests = ()
-            elif spec.point == _DURING:
-                dests = [d for d in dests if d in spec.delivered_to]
+        dests, bite = _anchored(spec, sender, peers, kind)
         for d in dests:
             entry = buffer[index] = _new_tuple(
                 BufferEntry, (_new_tuple(Message, (sender, d, seq, kind, payload)), index))
@@ -290,6 +284,17 @@ def _materialize(cfg: Configuration, sender: int, broadcasts: list) -> list:
             break  # the victim emits nothing further
     cfg.next_send_index = index
     return events
+
+
+def _anchored(spec: Optional[CrashSpec], sender: int, peers: tuple, kind: MsgKind) -> tuple:
+    """The destinations, in index order, of ``sender``'s broadcast of
+    ``kind`` to ``peers`` while the crash ``spec`` is pending, and whether
+    the crash bites at it (the victim then emits nothing further)."""
+    if spec is None or spec.victim != sender or spec.kind != kind:
+        return peers, False
+    if spec.point == _DURING:
+        return [d for d in peers if d in spec.delivered_to], True
+    return (() if spec.point == _BEFORE else peers), True
 
 
 def _crash(cfg: Configuration, victim: int) -> None:
@@ -308,8 +313,10 @@ def enabled_deliveries(cfg: Configuration) -> list:
 def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
     """Deliver one entry atomically; returns any crash events it triggered.
 
-    The only step implementation: runs, replays and the explorer's
-    transition table (``explore._Tables.step``) all deliver through it.
+    The step of runs, replays and the explorer's chunk roots.  The
+    explorer's transition table (``explore._Tables.step``) steps a clone of
+    the one destination process instead, with the same crash anchor
+    (``_anchored``).
     """
     message, at = entry
     if cfg.buffer.get(at) is not entry:

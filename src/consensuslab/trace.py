@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import ConfigError, MalformedMessage, SimulatorBug
 from .protocol import decode_vector, encode_vector
-from .scenario import Scenario, SchedulerSpec
+from .scenario import Scenario, SchedulerSpec, _read_input
 from .schedulers import ScriptedScheduler, scheduler_from_spec
 from .simulation import (
     Configuration,
@@ -134,10 +134,7 @@ class Trace:
 
     @classmethod
     def load(cls, path) -> "Trace":
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"trace file not found: {p}")
-        return cls.from_jsonl(p.read_text())
+        return cls.from_jsonl(_read_input(Path(path), "trace"))
 
 
 # Run loop ---------------------------------------------------------------------

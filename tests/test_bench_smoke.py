@@ -30,7 +30,9 @@ def test_a_short_benchmark_run_is_correct(workload):
 def test_a_traced_search_interns_process_states_by_their_key():
     # The traced path runs end to end, and its layer counts show where a
     # search's transition-table misses go: each new process state is
-    # interned by its exact state_key, and no process image is built.
+    # interned by its exact state_key, no process image is built, and a
+    # miss steps a clone of one process, not a configuration, so the only
+    # apply_deliver calls are the 16 chunk roots' first deliveries.
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "explore-n5", "--seed", "1",
          "--seconds", "0.01", "--trace", "1"],
@@ -42,3 +44,4 @@ def test_a_traced_search_interns_process_states_by_their_key():
     metrics = result["metrics"]
     assert metrics["protocol.state_key.calls"]["value"] > 0
     assert metrics["protocol.canonical_bytes.calls"]["value"] == 0
+    assert metrics["simulation.apply_deliver.calls"]["value"] == 16

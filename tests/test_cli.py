@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from test_trace_files import edited_trace
 import consensuslab
 from consensuslab.cli import main
 from consensuslab.errors import ConfigError
+from consensuslab.explore import MUTANTS
 from consensuslab.findings import racing_scenario
 from consensuslab.properties import check_properties
 from consensuslab.protocol import MsgKind
@@ -323,16 +325,55 @@ SMALL_SCENARIO = st.builds(
 )
 
 
-@given(SMALL_SCENARIO, edited_trace())
+# Raw bytes, half of them starting with a UTF-16 byte order mark, which is
+# not UTF-8.
+RAW_BYTES = st.binary(max_size=64) | st.binary(max_size=64).map(lambda b: b"\xff\xfe" + b)
+
+
+@given(SMALL_SCENARIO, edited_trace(), RAW_BYTES)
 @settings(max_examples=200, deadline=None)
-def test_any_input_file_exits_with_a_verdict_or_an_error_line(tmp_path_factory, d, trace_text):
+def test_any_input_file_exits_with_a_verdict_or_an_error_line(tmp_path_factory, d, trace_text,
+                                                              raw):
+    # A scenario file, a trace file, a file of raw bytes and a directory.
     tmp = tmp_path_factory.mktemp("inputs")
-    scenario, trace = tmp / "scenario.json", tmp / "trace.jsonl"
+    scenario, trace, raw_file = tmp / "scenario.json", tmp / "trace.jsonl", tmp / "raw"
     scenario.write_text(json.dumps(d))
     trace.write_text(trace_text)
-    for argv in (["run"], ["explore", "--max-configs", "200"], ["fuzz", "--seeds", "3"]):
-        _main_reports([argv[0], str(scenario), *argv[1:]])
-    _main_reports(["replay", str(trace)])
+    raw_file.write_bytes(raw)
+    for path in (scenario, raw_file, tmp):
+        for argv in (["run"], ["explore", "--max-configs", "200"], ["fuzz", "--seeds", "3"]):
+            _main_reports([argv[0], str(path), *argv[1:]])
+    for path in (trace, raw_file, tmp):
+        _main_reports(["replay", str(path)])
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_an_unreadable_input_raises_config_error(tmp_path, kind):
+    target = tmp_path
+    if kind == "not-utf-8":
+        target = tmp_path / "input"
+        target.write_bytes(b"\xff\xfe{}")
+    for load in (Scenario.load, Trace.load):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load(target)
+
+
+@pytest.mark.parametrize("command", [["run"], ["explore", "--max-configs", "1000"]])
+@pytest.mark.parametrize("output", ["--report", "--trace"])
+def test_an_unwritable_output_path_gives_an_error_line(tmp_path, capsys, clean_scenario_file,
+                                                       command, output):
+    # A report or trace path under a missing directory: an error line and
+    # exit 1, not a traceback.  The explore witness is a counterexample
+    # trace, so that search runs a mutant that finds one.
+    scenario = clean_scenario_file
+    if command[0] == "explore" and output == "--trace":
+        crash = CrashSpec(4, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
+        scenario = str(tmp_path / "mutant.json")
+        replace(Scenario.load(clean_scenario_file), crash=crash,
+                rules=MUTANTS["adopt-full"]).save(scenario)
+    missing = tmp_path / "missing" / "out.txt"
+    assert main([command[0], scenario, *command[1:], output, str(missing)]) == 1
+    assert "error: " in capsys.readouterr().err and not missing.exists()
 
 
 def _bounded_trace():

@@ -15,6 +15,7 @@ from consensuslab.explore import (
     OUTCOME_COUNTEREXAMPLE,
     ExploreBounds,
     _NODE_BITS,
+    _Search,
     _Tables,
     _dfs,
     _finished,
@@ -134,14 +135,17 @@ def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, tables, sink=None, sl
 
 
 def sleep_set_dfs(*args, **kw):
-    """``explore._dfs`` without the one-delivery rule (``_ample`` returns
-    every enabled delivery): it stores the plain search's configurations."""
+    """``explore._dfs`` without the one-delivery rule (no process counts as
+    finished, so every enabled delivery is made): it stores the plain
+    search's configurations, in its order
+    (test_the_sleep_set_oracle_stores_the_plain_search).  Its tables must
+    be new: they record whether a process is finished when they intern it."""
     module = importlib.import_module("consensuslab.explore")
-    ample, module._ample = module._ample, lambda enabled, *_: enabled
+    finished, module._finished = module._finished, lambda proc: False
     try:
         return module._dfs(*args, **kw)
     finally:
-        module._ample = ample
+        module._finished = finished
 
 
 class _Recording:
@@ -204,6 +208,18 @@ def decoded(tables, key, crash):
             cfg.enabled.append(entry)
         cfg.next_send_index = index + 1
     return nodes, cfg
+
+
+class _RecordingSet(set):
+    """A seen set that also keeps its keys in the order they were added."""
+
+    def __init__(self):
+        super().__init__()
+        self.order = []
+
+    def add(self, key):
+        self.order.append(key)
+        super().add(key)
 
 
 class TestCrashGrid:
@@ -626,6 +642,68 @@ class TestExplore:
         assert violations and clean
         assert all(reduced < oracle for reduced, oracle in configs.values())
 
+    def test_the_sleep_set_oracle_stores_the_plain_search(self):
+        # sleep_set_dfs is the oracle of the one-delivery rule's gate above:
+        # with the rule switched off, the sleep sets alone store the plain
+        # search's configurations in its order, also where processes have
+        # finished.  From ten deliveries before the end of seeded runs (the
+        # protocol and the four mutants, crash-free and in crash cells),
+        # both store the same image sequence, while _dfs, with the rule on,
+        # stores fewer: a hook that stops switching the rule off fails here.
+        stored = {_dfs: 0, sleep_set_dfs: 0}
+        for scenario in seeded_runs(5, 4):
+            picks = recorded_picks(scenario)
+            at = len(picks) - 10
+            prefix = [m for _, m in picks[:at]]
+            plain = _RecordingSet()
+            unreduced_dfs(picks[at][0].clone(), scenario, ExploreBounds(), prefix,
+                          _new_stats(10**7), plain, _Tables(scenario))
+            for dfs in stored:
+                seen, tables = _RecordingSet(), _Tables(scenario)
+                dfs(picks[at][0].clone(), scenario, ExploreBounds(), prefix, _new_stats(10**7),
+                    seen, tables)
+                images = [decoded(tables, key, scenario.crash)[1].canonical_bytes()
+                          for key in seen.order]
+                if dfs is sleep_set_dfs:
+                    assert images == plain.order, (scenario, at)
+                stored[dfs] += len(images)
+        assert stored[_dfs] < stored[sleep_set_dfs]
+
+    @pytest.mark.parametrize("slices", [1, 3, 7])
+    def test_a_search_run_in_slices_stores_what_one_run_stores(self, slices):
+        # _Search.run(budget) carries on where a budget stop left off: a
+        # search run in slices of its budget stores one run's configurations
+        # in its order and ends with its verdict and stats.  One search runs
+        # out of budget, one ends exhaustive under a depth bound (its
+        # frontier truncation kept across the stops), one at a
+        # counterexample, after which further calls return it again.
+        during = CrashSpec(4, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
+        cases = [
+            (base_scenario(), ExploreBounds(max_configs=3000)),
+            (base_scenario(crash=during), ExploreBounds(max_depth=4, max_configs=7000)),
+            (replace(base_scenario(), crash=during, rules=MUTANTS["adopt-full"]),
+             ExploreBounds(max_configs=100)),
+        ]
+        ends = []
+        for scenario, bounds in cases:
+            runs = []
+            for parts in (1, slices):
+                cfg0, _ = new_configuration(5, list(scenario.values), crash=scenario.crash,
+                                            rules=scenario.rules)
+                stats, seen = _new_stats(bounds.max_configs), _RecordingSet()
+                search = _Search(cfg0, scenario, bounds, [], stats, seen, _Tables(scenario))
+                stops = 0  # slices before the last that ended at their budget
+                for k in range(1, parts + 1):
+                    found = search.run(bounds.max_configs * k // parts)
+                    stops += k < parts and stats["exhausted"]
+                assert search.run(bounds.max_configs) == found
+                assert (stops > 0) == (parts > 1)
+                runs.append((found, stats, seen.order))
+            assert runs[0] == runs[1]
+            found, stats, _ = runs[0]
+            ends.append((found is not None, stats["truncated"], stats["exhausted"]))
+        assert ends == [(False, True, True), (False, True, False), (True, False, False)]
+
     @pytest.mark.parametrize("field", ["decided", "decision_entry"])
     def test_incremental_safety_check_sees_both_fields(self, monkeypatch, field):
         # The safety check is skipped unless a delivery replaced the
@@ -856,3 +934,68 @@ def test_search_outcomes_are_pinned():
         searches += 1
     assert searches > 150
     assert digest.hexdigest() == PINNED_SEARCHES
+
+
+def stored_order_searches():
+    """The searches of the store-order pin below: at n=5, the protocol
+    crash-free and in three crash cells, and the four mutants in a
+    mid-proposal crash cell; at n=6 the protocol crash-free.  Each on a
+    2,000-config budget in one chunk and in four, and the n=5 protocol
+    searches also under a depth bound of 6."""
+    base = Scenario(n=5, values=tuple(default_values(5)))
+    during = CrashSpec(4, CrashPoint.DURING, MsgKind.FIRST, frozenset({0}))
+    cells = [during, CrashSpec(0, CrashPoint.BEFORE, MsgKind.FINAL),
+             CrashSpec(2, CrashPoint.AFTER, MsgKind.SECOND)]
+    protocol = [base] + [base.with_crash(c) for c in cells]
+    scenarios = protocol + [replace(base, crash=during, rules=rules) for rules in MUTANTS.values()]
+    scenarios.append(Scenario(n=6, values=tuple(default_values(6))))
+    for scenario in scenarios:
+        for chunks in (1, 4):
+            yield scenario, ExploreBounds(max_configs=2000), chunks
+    for scenario in protocol:
+        yield scenario, ExploreBounds(max_depth=6, max_configs=2000), 1
+
+
+def stored_images(monkeypatch, scenario, bounds, chunks):
+    """The verdict of one search and the images of the configurations it
+    stored, in the order it stored them, chunk after chunk: every seen set
+    the search makes is swapped for a recording one, and its keys are
+    decoded through the search's tables afterwards."""
+    module = importlib.import_module("consensuslab.explore")
+    dfs = module._dfs
+    recorded = {}  # id of a seen set -> (its recording stand-in, the tables, the set)
+
+    def recording(cfg0, base, bounds, prefix, stats, seen, tables, *rest, **kw):
+        # The set itself is kept, so that no later set can reuse its id.
+        stand_in, _, _ = recorded.setdefault(id(seen), (_RecordingSet(), tables, seen))
+        return dfs(cfg0, base, bounds, prefix, stats, stand_in, tables, *rest, **kw)
+
+    monkeypatch.setattr(module, "_dfs", recording)
+    try:
+        verdict = explore(scenario, bounds, chunks=chunks)
+    finally:
+        monkeypatch.setattr(module, "_dfs", dfs)
+    images = [decoded(tables, key, scenario.crash)[1].canonical_bytes()
+              for stand_in, tables, _ in recorded.values() for key in stand_in.order]
+    return verdict, images
+
+
+# The sha256 of those searches' stored configurations, in store order.  A
+# change to what a search stores, or in which order, moves it; a
+# renumbering of interned states does not.
+PINNED_STORE_ORDER = "219bc2b14aa8ac56df7eab0f6d793ca1de597d16a4dfb5bb9462b7dcaff98b5f"
+
+
+def test_searches_store_the_same_configurations_in_order(monkeypatch):
+    digest = hashlib.sha256()
+    searches = stored = 0
+    for scenario, bounds, chunks in stored_order_searches():
+        verdict, images = stored_images(monkeypatch, scenario, bounds, chunks)
+        assert len(images) == verdict.stats["configs"]
+        digest.update(f"{verdict.outcome} {verdict.prop} {sorted(verdict.stats.items())}\n".encode())
+        for image in images:
+            digest.update(image + b"\n")
+        searches += 1
+        stored += len(images)
+    assert searches == 22 and stored > 30_000
+    assert digest.hexdigest() == PINNED_STORE_ORDER

@@ -123,7 +123,7 @@ class TestBuffer:
                     mid, d = tables.message(entry.message), entry.message.dest
                     step = tables.steps[mid].get(nodes[d])
                     hits += step is not None
-                    new, _, sent, bit, _ = step or tables.step(nodes, mid, cfg.crashed)
+                    new, _, sent, bit, _ = step or tables.step(nodes[d], mid, cfg.crashed)
                     index, cfg = cfg.next_send_index, cfg.clone()
                     bites = apply_deliver(cfg, cfg.buffer[entry.send_index])
                     assert tables.procs[new].canonical_bytes() == cfg.processes[d].canonical_bytes()
@@ -312,5 +312,5 @@ class TestTupleRecords:
         nodes, _, _ = tables.start(cfg)
         mid = tables.message(twin)
         assert mid == tables.message(entry.message) and len(tables.msgs) == len(cfg.buffer)
-        step = tables.step(nodes, mid, None)
+        step = tables.step(nodes[1], mid, None)
         assert tables.steps[mid] == {nodes[1]: step}
