@@ -31,7 +31,6 @@ from .simulation import (
     Configuration,
     Deliver,
     _anchored,
-    apply_deliver,
     configuration_image,
     new_configuration,
 )
@@ -54,6 +53,9 @@ MUTANTS = {
 
 @dataclass(frozen=True)
 class ExploreBounds:
+    """An ``explore`` call's frontier, ``max_depth`` deliveries from the
+    start, and its hard cap on stored configurations, all chunks together."""
+
     max_depth: Optional[int] = None  # None = bounded only by the run itself
     max_configs: int = 5_000_000
 
@@ -309,12 +311,17 @@ class _Tables:
 
 
 def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict, seen: set,
-         tables: _Tables, sink: Optional[set] = None, sleep: int = 0):
+         tables: _Tables, sink: Optional[set] = None, roots: Optional[list] = None):
     """Depth-first search over the delivery interleavings from ``cfg0``.
 
     ``prefix`` lists the messages delivered to reach ``cfg0``.  Returns
     (property, witness_events) or None.  Children are expanded
     newest-delivery-first, which reaches adversarial reorderings early.
+    With ``roots``, positions in ``cfg0``'s send-ordered enabled list,
+    ``cfg0`` is not stored and only those deliveries are made from it,
+    newest first (one chunk of ``explore``); its depth is still
+    ``len(prefix)``, so the frontier's depth does not depend on chunking.
+    The search stores at most ``stats["budget"]`` configurations.
 
     The search runs on ``tables``, the interned states of the ``explore``
     call (see ``_Tables``): ``cfg0``'s processes and messages are interned,
@@ -361,9 +368,10 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     configuration an earlier branch has already reached.  A child's sleep
     set is its parent's sleep set plus the deliveries already made from
     the parent, less those that are dependent, at the parent, on the
-    delivery that made the child (``_Tables.sleep``); ``sleep`` is the
-    sleep set of ``cfg0``.  A sleep set is a mask of message ids, like the
-    buffer mask of the dedupe key.  A delivery in a sleep set is never made.
+    delivery that made the child (``_Tables.sleep``); ``cfg0``'s sleep
+    set is empty, so a chunk's later roots sleep on its earlier ones by the
+    same rule.  A sleep set is a mask of message ids, like the buffer mask
+    of the dedupe key.  A delivery in a sleep set is never made.
 
     Soundness: the search reaches the same terminal configurations as the
     unreduced search, and finds a violation iff the unreduced search does
@@ -378,9 +386,9 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     from x's t-child.  (2) Otherwise w starts with some delivery t, and z
     is reachable from x's t-child.  If t was made, that child was stored
     and fully expanded, now or before.  If t is in x's sleep set, t was
-    made at an ancestor a of x (for a chunk's root, at the chunk's start)
-    before the branch leading to x.  Let p = p_1 ... p_k be the path from a
-    to x and y_i the configuration after p_1 ... p_i.  When p_i was made at
+    made at an ancestor a of x (for a chunk's root, at ``cfg0``) before
+    the branch leading to x.  Let p = p_1 ... p_k be the path from a to x
+    and y_i the configuration after p_1 ... p_i.  When p_i was made at
     y_(i-1), t was asleep or already made there and stayed asleep in y_i,
     so t and p_i commute at y_(i-1): p_i then t reaches what t then p_i
     does.  Swapping t back past p_k, ..., p_1 one delivery at a time, x's
@@ -408,7 +416,7 @@ def _dfs(cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
     memoized by the processes' decision classes (``_Tables.safety``).  The
     loop is ``_Search.run``.
     """
-    return _Search(cfg0, base, bounds, prefix, stats, seen, tables, sink, sleep).run(
+    return _Search(cfg0, base, bounds, prefix, stats, seen, tables, sink, roots).run(
         stats["budget"])
 
 
@@ -424,10 +432,13 @@ class _Search:
     set, gets a stack frame.  Through one with a single delivery the loop
     descends in place, overwriting node ids and an enabled list that no
     frame holds; and since a delivery to a finished process sends nothing
-    and finishes no one, the child's scan for the rule starts below it."""
+    and finishes no one, the child's scan for the rule starts below it.
+    With ``roots``, ``cfg0`` is the bottom frame, unstored, whose children
+    are the roots."""
 
     def __init__(self, cfg0, base: Scenario, bounds: ExploreBounds, prefix: list, stats: dict,
-                 seen: set, tables: _Tables, sink: Optional[set] = None, sleep: int = 0):
+                 seen: set, tables: _Tables, sink: Optional[set] = None,
+                 roots: Optional[list] = None):
         self.values, self.prefix, self.depth0 = list(base.values), list(prefix), len(prefix)
         self.stats, self.seen, self.tables, self.sink = stats, seen, tables, sink
         depth = sys.maxsize if bounds.max_depth is None else bounds.max_depth
@@ -445,24 +456,25 @@ class _Search:
         if v is not None:
             self.found = v[0], _events(prefix)
             return
-        stats["configs"] += 1
         nodes, key, enabled = tables.start(cfg0)
-        seen.add(key)
         finished = sum(1 << i for i, node in enumerate(nodes) if tables.finished[node])
-        self.here = (nodes, key, enabled, cfg0.crashed, self.depth0, sleep, finished,
-                     len(enabled) - 1)
+        if roots is None:
+            stats["configs"] += 1
+            seen.add(key)
+            self.here = (nodes, key, enabled, cfg0.crashed, self.depth0, 0, finished,
+                         len(enabled) - 1)
+        else:
+            children = [enabled[i] for i in sorted(roots)]
+            self.stack.append([nodes, key, enabled, cfg0.crashed, children, len(children),
+                               self.depth0, 0, finished])
 
     def run(self, budget: int):
-        """Search on until ``budget`` configurations are stored in all
-        (then ``stats["exhausted"]``, and a later call resumes), a property
-        fails, or nothing is left.  Returns (property, witness_events) or
-        None."""
+        """Search on until a property fails, nothing is left, or
+        ``budget`` configurations are stored in all and more work waits: a
+        configuration to expand, or a frame with a child left (then
+        ``stats["exhausted"]``, and a later call resumes).  Returns
+        (property, witness_events) or None."""
         stats, here = self.stats, self.here
-        if stats["exhausted"]:  # resuming after a budget stop
-            if stats["configs"] >= budget:
-                return None
-            # Until the stop, only the frontier had truncated the search.
-            stats["exhausted"], stats["truncated"] = False, stats["frontier"] > 0
         self.here = None
         tables, seen, sink, path, stack = self.tables, self.seen, self.sink, self.path, self.stack
         steps, dest, to, ends = tables.steps, tables.dest, tables.to, tables.finished
@@ -472,15 +484,18 @@ class _Search:
         expand = here is not None
         if expand:
             nodes, key, enabled, crashed, depth, sleep, finished, top = here
-        elif not stack:
-            return self.found
+        stats["exhausted"] = False
         try:
             while True:
+                if configs >= budget and (expand or any(frame[5] for frame in stack)):
+                    if expand:
+                        self.here = (nodes, key, enabled, crashed, depth, sleep, finished, top)
+                    stats["exhausted"] = True
+                    return None
                 p = -1
                 if expand:
                     if depth >= limit:
                         frontier += 1
-                        stats["truncated"] = True
                         if sink is not None:
                             sink.add(tables.image(nodes, crashed, key))
                         expand = False
@@ -503,7 +518,7 @@ class _Search:
                     while stack and not stack[-1][5]:
                         stack.pop()
                     if not stack:
-                        return None
+                        return self.found
                     frame = stack[-1]
                     nodes, key, enabled, crashed, children, i, depth, sleep, finished = frame
                     mid = children[i - 1]
@@ -522,7 +537,7 @@ class _Search:
                     continue
                 seen.add(key)
                 configs += 1
-                if sleep & to[d]:  # else the child's sleep set is the same mask
+                if sleep & to[d] and depth + 1 < limit:  # else the same mask, or never used
                     sleep = sleep_of(nodes, crashed, sleep, mid)
                 if p < 0:
                     nodes, enabled = nodes.copy(), enabled.copy()
@@ -544,7 +559,8 @@ class _Search:
                     v = safety(nodes, crashed)
                     if v is not None:
                         return self._violation(v[0])
-                if not enabled:
+                expand = bool(enabled)
+                if not expand:
                     terminals += 1
                     if sink is not None:
                         sink.add(tables.image(nodes, crashed, key))
@@ -553,15 +569,9 @@ class _Search:
                     v = terminal_violation(child, values, status)
                     if v is not None:
                         return self._violation(v[0])
-                    expand = False
-                    continue
-                expand = True
-                if configs >= budget:
-                    self.here = (nodes, key, enabled, crashed, depth, sleep, finished, top)
-                    stats["truncated"] = stats["exhausted"] = True
-                    return None
         finally:
             stats.update(zip(_COUNTS, (configs, hits, terminals, frontier)))
+            stats["truncated"] = stats["exhausted"] or frontier > 0
 
     def _violation(self, prop: str) -> tuple:
         self.stack.clear()
@@ -581,30 +591,16 @@ def _start(base: Scenario) -> Configuration:
 
 def _explore_chunk(args, tables: Optional[_Tables] = None, collect: bool = False,
                    cfg0: Optional[Configuration] = None) -> dict:
-    """Search the roots ``positions``, indices into the send-ordered
-    ``enabled`` list of the start configuration ``cfg0``, on the search's
-    interned states ``tables``; a pool job, which gets neither, builds its
-    own, and ``cfg0`` is never changed.  The terminal and frontier images
-    are collected, as ``reached``, only if ``collect``."""
+    """Search one chunk: a ``_dfs`` from the start configuration ``cfg0``
+    with the roots ``positions``, indices into its send-ordered ``enabled``
+    list, on the search's interned states ``tables``; a pool job, which
+    gets neither, builds its own.  The terminal and
+    frontier images are collected, as ``reached``, only if ``collect``."""
     base, bounds, positions, budget = args
-    tables = _Tables(base) if tables is None else tables
-    cfg0 = _start(base) if cfg0 is None else cfg0
-    nodes0, _, enabled0 = tables.start(cfg0)
     stats = _new_stats(budget)
-    seen: set = set()
     sink = set() if collect else None
-    found = None
-    tried = 0  # the roots this chunk has searched, as a message-id mask
-    for i in positions:
-        child = cfg0.clone()
-        entry = child.enabled[i]
-        apply_deliver(child, entry)
-        mid = enabled0[i]
-        found = _dfs(child, base, bounds, [entry.message], stats, seen, tables, sink,
-                     tables.sleep(nodes0, cfg0.crashed, tried, mid))
-        if found is not None or stats["exhausted"]:
-            break
-        tried |= 1 << mid
+    found = _dfs(_start(base) if cfg0 is None else cfg0, base, bounds, [], stats, set(),
+                 _Tables(base) if tables is None else tables, sink, positions)
     return {"stats": {k: stats[k] for k in _COUNTS},
             "truncated": stats["truncated"], "violation": found, "reached": sink}
 
@@ -618,15 +614,20 @@ def explore(
 ) -> ExploreVerdict:
     """Enumerate delivery interleavings and check every reached configuration.
 
-    With ``chunks > 1`` the search space is split by the first delivery and
+    The search stores at most ``bounds.max_configs`` configurations.  With
+    ``chunks > 1`` the search space is split by the first delivery and
     the chunks are explored independently (optionally by a process pool);
     the reported verdict is the one a sequential chunk-by-chunk run would
-    give, so the worker count never changes the outcome.  Each chunk gets
-    an equal share of ``max_configs`` and its own seen set, so a state
-    reachable from several chunks is counted once per chunk: the ``configs``
-    and ``terminals`` counts rise with ``chunks``, while the set of reached
-    states collected in ``reach_sink``, as configuration images, does not
-    change unless a chunk runs out of budget.
+    give, so the worker count never changes the outcome.  A chunk is one
+    search whose bottom frame is the start configuration, unstored, with
+    the chunk's roots as its children, so depth counts from the start in
+    every chunk.  Each chunk gets an equal share of ``max_configs``, at
+    least one configuration (more chunks than ``max_configs`` is an
+    error), and its own seen set, so a state reachable from several chunks
+    is counted once per chunk: the ``configs`` and ``terminals`` counts
+    rise with ``chunks``, while the set of reached states collected in
+    ``reach_sink``, as configuration images, does not change unless a
+    chunk runs out of budget.
 
     Two reductions cut the search (see ``_dfs``).  Sleep sets skip
     deliveries that would reach an already stored configuration: two
@@ -644,8 +645,8 @@ def explore(
 
     The search runs on interned states (see ``_Tables``), and its dedupe
     key is exact: two configurations share a key iff they have the same
-    image.  One set of tables and one start configuration serve every root
-    of every chunk searched in this process, a pool job builds its own, and
+    image.  One set of tables and one start configuration serve every
+    chunk searched in this process, a pool job builds its own, and
     no table outlives the call, because a process image leaves out the
     rules and the final quorum.
     """
@@ -655,8 +656,9 @@ def explore(
         raise ConfigError("chunks must be positive")
     if workers < 1:
         raise ConfigError("workers must be positive")
+    if chunks > bounds.max_configs:
+        raise ConfigError("chunks must not exceed max_configs")
     cfg0 = _start(scenario)  # one start configuration for every chunk searched here
-    roots = range(len(cfg0.enabled))[::-1]  # positions, newest first
     tables = _Tables(scenario)  # this call's interned states: one scenario, never kept
 
     if chunks <= 1:
@@ -664,9 +666,10 @@ def explore(
         found = _dfs(cfg0, scenario, bounds, [], stats, set(), tables, sink=reach_sink)
         return _verdict_from(scenario, found, [stats], stats["truncated"])
 
+    roots = range(len(cfg0.enabled))[::-1]  # positions, newest first
     groups = [roots[i::chunks] for i in range(chunks)]
     groups = [g for g in groups if g]
-    budget = max(1, bounds.max_configs // len(groups))
+    budget = bounds.max_configs // len(groups)
     jobs = [(scenario, bounds, g, budget) for g in groups]
     chunk = partial(_explore_chunk, collect=reach_sink is not None)
     if workers <= 1:
@@ -678,12 +681,8 @@ def explore(
     if reach_sink is not None:
         for r in results:
             reach_sink |= r["reached"]
-    truncated = False
-    for r in results:
-        if r["violation"] is not None:
-            return _verdict_from(scenario, r["violation"], all_stats, False)
-        truncated = truncated or r["truncated"]
-    return _verdict_from(scenario, None, all_stats, truncated)
+    found = next((r["violation"] for r in results if r["violation"] is not None), None)
+    return _verdict_from(scenario, found, all_stats, any(r["truncated"] for r in results))
 
 
 def _verdict_from(scenario, found, stats_list, truncated) -> ExploreVerdict:

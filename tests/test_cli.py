@@ -92,12 +92,14 @@ def test_explore_rejects_the_flags_fuzz_rejects(tmp_path, capsys, flag, value, f
         assert err.startswith("error:") and field in err
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value", ["0", "-1", "4"])
 def test_explore_rejects_a_chunk_count_below_one(tmp_path, capsys, value):
+    # Each chunk needs a share of at least one configuration of the
+    # budget, so four chunks are rejected on a budget of two.
     path = tmp_path / "scenario.json"
     Scenario(n=5, values=tuple(default_values(5)),
              crash=CrashSpec(0, CrashPoint.BEFORE, MsgKind.INITIAL)).save(path)
-    assert main(["explore", str(path), "--chunks", value]) == 1
+    assert main(["explore", str(path), "--chunks", value, "--max-configs", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "chunks" in err
 

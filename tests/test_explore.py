@@ -67,12 +67,15 @@ def base_scenario(**kw):
     )
 
 
-def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, tables, sink=None, sleep=0):
+def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, tables, sink=None, roots=None):
     """The plain search, as an oracle for ``explore._dfs``: every enabled
     delivery is cloned and stepped afresh, every new configuration is
     safety-checked, and configurations are keyed by their image, with the
     depth under a depth bound (no interned states, no sleep set and no
-    one-delivery rule)."""
+    one-delivery rule).  With ``roots``, positions in ``cfg0``'s enabled
+    list, ``cfg0`` is not stored and only those deliveries are made from
+    it, newest first.  Like ``_dfs``, it stores at most ``stats["budget"]``
+    configurations and stops at the budget only with work left."""
     values = list(base.values)
 
     def key(cfg, depth):
@@ -82,12 +85,21 @@ def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, tables, sink=None, sl
     def events(messages):
         return [Deliver(m.sender, m.seq, m.dest, m.kind) for m in messages]
 
+    def stop():
+        stats["truncated"] = stats["exhausted"] = True
+
     v = safety_violation(cfg0, values)
     if v is not None:
         return v[0], events(prefix)
-    stats["configs"] += 1
-    seen.add(key(cfg0, len(prefix)))
-    stack = [(cfg0, enabled_deliveries(cfg0), len(prefix))]
+    children = enabled_deliveries(cfg0)
+    if roots is None:
+        stats["configs"] += 1
+        seen.add(key(cfg0, len(prefix)))
+    else:
+        children = [children[i] for i in sorted(roots)]
+    if stats["configs"] >= stats["budget"] and children:
+        return stop()
+    stack = [(cfg0, children, len(prefix))]
     path = list(prefix)
     while stack:
         cfg, children, depth = stack[-1]
@@ -118,11 +130,11 @@ def unreduced_dfs(cfg0, base, bounds, prefix, stats, seen, tables, sink=None, sl
             v = terminal_violation(child, values, status)
             if v is not None:
                 return v[0], events(path)
+        if stats["configs"] >= stats["budget"] and (nxt or any(c for _, c, _ in stack)):
+            return stop()
+        if not nxt:
             path.pop()
             continue
-        if stats["configs"] >= stats["budget"]:
-            stats["truncated"] = stats["exhausted"] = True
-            return None
         if bounds.max_depth is not None and depth + 1 >= bounds.max_depth:
             stats["frontier"] += 1
             stats["truncated"] = True
@@ -318,15 +330,16 @@ class TestExplore:
     @pytest.mark.parametrize(
         "crash, reached",
         [
-            (None, {2: 190, 3: 1140, 4: 4940}),
+            (None, {1: 20, 2: 190, 3: 1140, 4: 4940}),
             (CrashSpec(4, CrashPoint.BEFORE, MsgKind.INITIAL), None),
         ],
     )
     def test_chunked_search_reaches_the_same_states(self, crash, reached):
         # Splitting a depth-bounded search by first delivery must expand
-        # every root of every chunk and hand back what each chunk reached.
+        # every root of every chunk and hand back what each chunk reached;
+        # the frontier lies at the same depth from the start in every chunk.
         scenario = base_scenario(crash=crash)
-        for depth in (2, 3, 4):
+        for depth in (1, 2, 3, 4):
             bounds = ExploreBounds(max_depth=depth, max_configs=1_000_000)
             sinks = []
             for chunks in (1, 2, 16):
@@ -337,6 +350,83 @@ class TestExplore:
             assert sinks[0] and sinks[0] == sinks[1] == sinks[2]
             if reached is not None:
                 assert len(sinks[0]) == reached[depth]
+
+    def test_the_budget_is_a_hard_cap(self, monkeypatch):
+        # max_configs bounds what a search stores, chunked or not, the
+        # start included: over budgets 1-60 and 1, 2, 4 and 20 chunks,
+        # crash-free and in two crash cells, a search stores at most its
+        # budget, and all of each chunk's share, with the plain search's
+        # outcome and counts.  More chunks than the budget cannot each get a
+        # share, which is a configuration error.  Terminal configurations
+        # at the budget: test_a_search_stores_at_most_its_budget.
+        module = importlib.import_module("consensuslab.explore")
+        scenarios = [
+            base_scenario(),
+            base_scenario(crash=CrashSpec(4, CrashPoint.BEFORE, MsgKind.INITIAL)),
+            base_scenario(crash=CrashSpec(2, CrashPoint.DURING, MsgKind.FIRST, frozenset({0, 1}))),
+        ]
+        searches = [(scenario, ExploreBounds(max_configs=budget), chunks) for scenario in scenarios
+                    for budget in range(1, 61) for chunks in (1, 2, 4, 20)]
+        results = []
+        for dfs in (module._dfs, unreduced_dfs):
+            monkeypatch.setattr(module, "_dfs", dfs)
+            out = []
+            for scenario, bounds, chunks in searches:
+                if chunks > bounds.max_configs:
+                    with pytest.raises(ConfigError, match="chunks"):
+                        explore(scenario, bounds, chunks=chunks)
+                    continue
+                verdict = explore(scenario, bounds, chunks=chunks)
+                stats = dict(verdict.stats)
+                del stats["dedupe_hits"]
+                out.append((verdict.outcome, verdict.prop, stats))
+                assert bounds.max_configs - chunks < stats["configs"] <= bounds.max_configs
+            results.append(out)
+        assert results[0] == results[1]
+        assert {outcome for outcome, _, _ in results[0]} == {OUTCOME_BOUND}
+
+    def test_a_search_stores_at_most_its_budget(self):
+        # From ten deliveries before the end of seeded runs (the protocol
+        # and the four mutants, crash-free and in crash cells), a search
+        # that stores C configurations unbounded stops with exactly b stored
+        # on a budget b < C (every seventh, and C - 1).  On budget C it
+        # stops if its last configuration is not terminal or a frame still
+        # has a child left, which may reach only stored configurations;
+        # otherwise, as for 6 of these 20 searches, it ends as it does
+        # unbounded, all-pass or at its counterexample.
+        ended = 0
+        for scenario in seeded_runs(5, 4):
+            picks = recorded_picks(scenario)
+            at = len(picks) - 10
+            prefix = [m for _, m in picks[:at]]
+
+            def search(budget):
+                stats = _new_stats(budget)
+                found = _dfs(picks[at][0].clone(), scenario, ExploreBounds(), prefix, stats,
+                             set(), _Tables(scenario))
+                return found, stats
+
+            unbounded = search(10**7)
+            total = unbounded[1]["configs"]
+            for budget in sorted({*range(1, total, 7), total - 1, total}):
+                found, stats = search(budget)
+                if budget < total or stats["exhausted"]:
+                    assert (found, stats["configs"], stats["exhausted"]) == (None, budget, True)
+                else:
+                    assert (found, stats) == (unbounded[0], {**unbounded[1], "budget": budget})
+                    ended += 1
+        assert ended
+
+    def test_a_frontier_child_gets_no_sleep_set(self, monkeypatch):
+        # A child on the depth frontier is never expanded, so its sleep set
+        # is never built: a search makes at most one _Tables.sleep call per
+        # configuration it stores below the frontier.
+        calls = []
+        sleep = _Tables.sleep
+        monkeypatch.setattr(_Tables, "sleep", lambda *args: calls.append(1) or sleep(*args))
+        verdict = explore(base_scenario(), ExploreBounds(max_depth=4, max_configs=1_000_000))
+        below = verdict.stats["configs"] - verdict.stats["frontier"]
+        assert below == 1351 and 0 < len(calls) <= below
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_interned_transitions_are_fresh_deliveries(self, n):
