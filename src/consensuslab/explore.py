@@ -30,9 +30,9 @@ from .schedulers import ScriptedScheduler
 from .simulation import (
     Configuration,
     Deliver,
-    _anchored,
     configuration_image,
     new_configuration,
+    step_process,
 )
 from .trace import STATUS_COMPLETE, STATUS_STUCK, Trace, run, run_raw, scripted
 
@@ -201,27 +201,19 @@ class _Tables:
         message ids in send order, whether a crash bit, whether the
         destination's decision or decision-stage entry changed).
 
-        Made on a clone of the destination's ``Process``, as
-        ``apply_deliver`` makes it, with the crash anchor of
-        ``simulation._anchored``.  The destination's step reads its own
-        state, the message and the crash anchor, and nothing else of the
-        configuration: so a transition is keyed by (node id, message id)
-        alone.  A pending crash's victim is pending at every delivery to
-        it, since once crashed it gets none.
+        ``simulation.step_process`` makes it on a clone of the destination's
+        ``Process``; this interns the result.  That step reads the
+        destination's own state, the message and the crash anchor, and
+        nothing else of the configuration: so a transition is keyed by
+        (node id, message id) alone.  A pending crash's victim is pending
+        at every delivery to it, since once crashed it gets none.
         """
         m, before = self.msgs[mid], self.procs[node]
-        d, proc, pending = m.dest, before.clone(), self.crash if crashed is None else None
-        copies, bites = [], False
-        for msg in proc.ingest(m):
-            for kind, payload, seq in proc.process(msg):
-                dests, bites = _anchored(pending, d, proc.peers, kind)
-                copies += [Message(d, to, seq, kind, payload) for to in dests]
-                if bites:
-                    break
-            if bites:
-                break  # the victim died mid-step; it takes no further steps
+        d, proc = m.dest, before.clone()
+        broadcasts, bites = step_process(proc, self.crash if crashed is None else None, m)
         new = self.node(proc)
-        sent = [self.message(c) for c in copies]
+        sent = [self.message(Message(d, to, seq, kind, payload))
+                for (kind, payload, seq), dests in broadcasts for to in dests]
         delta = (new - node) << (_NODE_BITS * d)
         delta += (sum(1 << s for s in sent) - (1 << mid)) << self.mask_shift
         if bites:

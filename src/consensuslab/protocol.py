@@ -18,6 +18,7 @@ The network lives elsewhere (see :mod:`consensuslab.simulation`).
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -196,6 +197,17 @@ def encode_message(m: Message) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+# The fields of a process's state, in image order (see ``Process.state_key``);
+# a named tuple hashes and compares as the plain tuple of its fields does.
+StateKey = namedtuple(
+    "StateKey",
+    "pid n phase started second_sent sent_seq input output initial_count known_values next_seq"
+    " reorder seen_seqs pending_proposals pending_finals first_proposal first_tally"
+    " second_count second_value completion decision_entry final_slots final_count"
+    " seen_full_final decided",
+)
+
+
 class Process:
     """State machine of one agreement participant.
 
@@ -261,8 +273,7 @@ class Process:
         self.final_count = 0
         self.seen_full_final: Optional[Vector] = None
         self.decided: Optional[Vector] = None
-        self._canon: Optional[bytes] = None  # cached canonical_bytes
-        self._key: Optional[tuple] = None  # cached state_key
+        self._key: Optional[StateKey] = None  # cached state_key
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -270,7 +281,7 @@ class Process:
         """Kick off participation by broadcasting the own input value."""
         if self.started:
             raise ProtocolViolation(f"P{self.pid} started twice")
-        self._canon = self._key = None
+        self._key = None
         self.started = True
         return [self._broadcast(_INITIAL, self.input)]
 
@@ -292,7 +303,7 @@ class Process:
             raise SimulatorBug(f"message for P{msg.dest} delivered to P{self.pid}")
         if msg.sender == self.pid:
             raise ModelViolation("no self-delivery: broadcasts skip the sender")
-        self._canon = self._key = None
+        self._key = None
         sender, seq = msg.sender, msg.seq
         if not self.rules.ordered_delivery:
             if (sender, seq) in self.seen_seqs:
@@ -325,7 +336,7 @@ class Process:
         order, the moment the phase starts.
         """
         out: list = []
-        self._canon = self._key = None
+        self._key = None
         kind = msg.kind
         if kind == _INITIAL:
             self._on_initial(msg.sender, msg.payload, out)
@@ -457,10 +468,11 @@ class Process:
     # -- copying and canonical state ----------------------------------------
 
     def clone(self) -> "Process":
+        """A copy of the state to step: the containers are copied, and every
+        other field, the cached key included, holds an immutable value.
+        Every field but the per-scenario constants is in ``state_key``."""
         c = Process.__new__(Process)
         c.__dict__.update(self.__dict__)
-        # Every mutable field is copied here and appears in both state_key
-        # and canonical_bytes; every other field holds an immutable value.
         c.known_values = dict(self.known_values)
         c.next_seq = dict(self.next_seq)
         c.reorder = dict(self.reorder)
@@ -471,58 +483,14 @@ class Process:
         c.final_slots = list(self.final_slots)
         return c
 
-    def canonical_bytes(self) -> bytes:
-        """Deterministic byte image of the full state, from which
-        ``Configuration.canonical_bytes`` and so every trace hash is derived.
-
-        Cached between mutations: cloning a configuration and delivering one
-        message recomputes the image of the one touched process only.  The
-        image is the repr of a nested tuple whose leaves are ints, bytes,
-        and None, so equal states map to equal bytes on any interpreter.
-        """
-        if self._canon is not None:
-            return self._canon
-        held = sorted(self.reorder.items())  # by (sender, seq)
-        seen = sorted(self.seen_seqs)
-        state = (
-            self.pid,
-            self.n,
-            int(self.phase),
-            self.started,
-            self.second_sent,
-            self.sent_seq,
-            self.input,
-            self.output,
-            self.initial_count,
-            tuple(sorted(self.known_values.items())),
-            tuple(sorted(self.next_seq.items())),
-            tuple([(j, tuple([encode_message(m) for (s, _), m in held if s == j]))
-                   for j in self.peers]),
-            tuple([(j, tuple([q for s, q in seen if s == j])) for j in self.peers]),
-            tuple(map(encode_message, self.pending_proposals)),
-            tuple(map(encode_message, self.pending_finals)),
-            self.first_proposal,
-            tuple(sorted([(encode_vector(v), c) for v, c in self.first_tally.items()])),
-            self.second_count,
-            self.second_value,
-            self.completion,
-            self.decision_entry,
-            tuple(self.final_slots),
-            self.final_count,
-            self.seen_full_final,
-            self.decided,
-        )
-        # The repr of the tuple, joined from the cached reprs of its fields.
-        self._canon = ("(%s)" % ", ".join(map(_field_repr, state))).encode()
-        return self._canon
-
-    def state_key(self) -> tuple:
-        """The exact hashable key of the state, by which the explorer interns
-        processes: a tuple of every field ``canonical_bytes`` encodes, those
-        whose order is arbitrary as frozensets, so two processes share a key
-        iff they share an image.  Cached between mutations, like the image."""
+    def state_key(self) -> "StateKey":
+        """The exact hashable key of the state, and its one list of fields:
+        the explorer interns processes by it and ``canonical_bytes`` renders
+        it.  Fields whose order is arbitrary are frozensets; ``next_seq``
+        lists the next seq per peer in index order.  Cached between
+        mutations."""
         if self._key is None:
-            self._key = (
+            self._key = StateKey(
                 self.pid, self.n, self.phase, self.started, self.second_sent, self.sent_seq,
                 self.input, self.output, self.initial_count,
                 frozenset(self.known_values.items()), tuple(self.next_seq.values()),
@@ -533,3 +501,34 @@ class Process:
                 tuple(self.final_slots), self.final_count, self.seen_full_final, self.decided,
             )
         return self._key
+
+    def canonical_bytes(self) -> bytes:
+        """Deterministic byte image of the state, from which
+        ``Configuration.canonical_bytes`` and so every trace hash is derived:
+        ``state_key`` rendered by ``_render``."""
+        return _render(self.state_key())
+
+
+@lru_cache(maxsize=16384)
+def _render(key: StateKey) -> bytes:
+    """The image of a process state from its key: the repr of the key with
+    its sets sorted, held messages and delivered seqs grouped per peer,
+    messages and tally vectors encoded, and the phase as an int.  Its
+    leaves are ints, bytes and None, so equal states map to equal bytes on
+    any interpreter, and two states share an image iff they share a key.
+    Memoized by the key: a search meets each state many times."""
+    peers = [j for j in range(key.n) if j != key.pid]
+    held, seen = sorted(key.reorder), sorted(key.seen_seqs)  # by (sender, seq)
+    image = key._replace(
+        phase=int(key.phase),
+        known_values=tuple(sorted(key.known_values)),
+        next_seq=tuple(zip(peers, key.next_seq)),
+        reorder=tuple([(j, tuple([encode_message(m) for m in held if m.sender == j]))
+                       for j in peers]),
+        seen_seqs=tuple([(j, tuple([q for s, q in seen if s == j])) for j in peers]),
+        pending_proposals=tuple(map(encode_message, key.pending_proposals)),
+        pending_finals=tuple(map(encode_message, key.pending_finals)),
+        first_tally=tuple(sorted([(encode_vector(v), c) for v, c in key.first_tally])),
+    )
+    # The repr of the tuple, joined from the cached reprs of its fields.
+    return ("(%s)" % ", ".join(map(_field_repr, image))).encode()

@@ -43,7 +43,7 @@ class CrashPoint(str, Enum):
 
 # Enum members bound once: reading one off its class costs several times a
 # global read, and the run loop tests the crash anchor on every broadcast.
-_BEFORE, _DURING = CrashPoint.BEFORE, CrashPoint.DURING
+_BEFORE, _DURING, _AFTER = CrashPoint
 _INITIAL = MsgKind.INITIAL
 
 
@@ -204,6 +204,8 @@ class Configuration:
 _BUFFER_ORDER = itemgetter(0, 2, 1)  # a message's (sender, seq, dest)
 _SEND_INDEX = itemgetter(1)  # a buffer entry's send index
 _new_tuple = tuple.__new__  # builds a named tuple without its Python-level __new__
+_START = (None,)  # what ``step_process`` releases for a process's start
+_QUIET = ((), False)  # ``step_process``'s result for a step that sends nothing
 
 
 def configuration_image(process_images: list, crashed: Optional[int], pending: bool,
@@ -254,47 +256,60 @@ def new_configuration(
             _crash(cfg, pid)
             events.append(CrashBite(pid, spec.point, spec.kind))
             continue
-        broadcasts = cfg.processes[pid].start()
-        events.extend(_materialize(cfg, pid, broadcasts))
+        events.extend(_materialize(cfg, pid, *step_process(cfg.processes[pid], spec)))
     return cfg, events
 
 
-def _materialize(cfg: Configuration, sender: int, broadcasts: list) -> list:
-    """Append a process's broadcasts to the buffer, applying the crash anchor.
+def step_process(proc: Process, spec: Optional[CrashSpec], message: Optional[Message] = None):
+    """One step of ``proc``, in place: its start or, given ``message``, its
+    delivery, which processes every message the arrival releases in turn.
+    Each broadcast goes to the peers in index order through the anchor of
+    the pending crash ``spec``: at the victim's broadcast of ``spec.kind``
+    the crash bites, with no copy (before), the copies to
+    ``spec.delivered_to`` (during) or every copy (after), and the victim
+    then takes no further step.  Returns (the copies sent, as (broadcast,
+    destinations) pairs in send order; whether the crash bit).  The caller
+    builds each copy in the form it keeps: a buffer entry for runs, a
+    message id for the explorer's transition table.
 
-    Copies go to all other processes in destination-index order.  Returns
-    the crash events that took effect (empty for a healthy sender).
+    The one step of runs, replays and the explorer.
     """
-    events = []
+    sent = None
+    for msg in _START if message is None else proc.ingest(message):
+        broadcasts = proc.start() if msg is None else proc.process(msg)
+        if not broadcasts:
+            continue  # most steps send nothing
+        if sent is None:
+            sent = []
+        pid, peers = proc.pid, proc.peers
+        for broadcast in broadcasts:
+            if spec is not None and spec.victim == pid and spec.kind == broadcast.kind:
+                if spec.point != _AFTER:
+                    peers = [d for d in peers if d in spec.delivered_to] if spec.point == _DURING else ()
+                sent.append((broadcast, peers))
+                return sent, True
+            sent.append((broadcast, peers))
+    return _QUIET if sent is None else (sent, False)
+
+
+def _materialize(cfg: Configuration, sender: int, sent: list, bit: bool) -> list:
+    """Append the copies a step of ``sender`` sent (see ``step_process``)
+    to the buffer and kill it if the crash bit; returns the crash events."""
     buffer, enabled, crashed = cfg.buffer, cfg.enabled, cfg.crashed
     index = cfg.next_send_index
-    peers = cfg.processes[sender].peers
-    for kind, payload, seq in broadcasts:
-        spec = cfg.crash_pending
-        dests, bite = _anchored(spec, sender, peers, kind)
+    for (kind, payload, seq), dests in sent:
         for d in dests:
             entry = buffer[index] = _new_tuple(
                 BufferEntry, (_new_tuple(Message, (sender, d, seq, kind, payload)), index))
             if d != crashed:
                 enabled.append(entry)
             index += 1
-        if bite:
-            _crash(cfg, sender)
-            events.append(CrashBite(sender, spec.point, spec.kind))
-            break  # the victim emits nothing further
     cfg.next_send_index = index
-    return events
-
-
-def _anchored(spec: Optional[CrashSpec], sender: int, peers: tuple, kind: MsgKind) -> tuple:
-    """The destinations, in index order, of ``sender``'s broadcast of
-    ``kind`` to ``peers`` while the crash ``spec`` is pending, and whether
-    the crash bites at it (the victim then emits nothing further)."""
-    if spec is None or spec.victim != sender or spec.kind != kind:
-        return peers, False
-    if spec.point == _DURING:
-        return [d for d in peers if d in spec.delivered_to], True
-    return (() if spec.point == _BEFORE else peers), True
+    if not bit:
+        return []
+    spec = cfg.crash_pending
+    _crash(cfg, sender)
+    return [CrashBite(sender, spec.point, spec.kind)]
 
 
 def _crash(cfg: Configuration, victim: int) -> None:
@@ -311,13 +326,8 @@ def enabled_deliveries(cfg: Configuration) -> list:
 
 
 def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
-    """Deliver one entry atomically; returns any crash events it triggered.
-
-    The step of runs, replays and the explorer's chunk roots.  The
-    explorer's transition table (``explore._Tables.step``) steps a clone of
-    the one destination process instead, with the same crash anchor
-    (``_anchored``).
-    """
+    """Deliver one entry atomically (``step_process`` on its destination);
+    returns any crash events it triggered.  The step of runs and replays."""
     message, at = entry
     if cfg.buffer.get(at) is not entry:
         raise SimulatorBug("delivery of an entry that is not in the buffer")
@@ -335,13 +345,6 @@ def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
     proc = cfg.processes[dest]
     if cfg.shared:
         proc = cfg.processes[dest] = proc.clone()
-    events = []
-    for msg in proc.ingest(message):
-        broadcasts = proc.process(msg)
-        if broadcasts:
-            events.extend(_materialize(cfg, dest, broadcasts))
-            if cfg.crashed == dest:
-                break  # victim died mid-step; it takes no further steps
+    sent, bit = step_process(proc, cfg.crash_pending, message)
     cfg.event_count += 1
-    return events
-
+    return _materialize(cfg, dest, sent, bit) if sent or bit else []
