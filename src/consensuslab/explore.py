@@ -461,10 +461,11 @@ class _Search:
                                self.depth0, 0, finished])
 
     def run(self, budget: int):
-        """Search on until a property fails, nothing is left, or
-        ``budget`` configurations are stored in all and more work waits: a
-        configuration to expand, or a frame with a child left (then
-        ``stats["exhausted"]``, and a later call resumes).  Returns
+        """Search on until a property fails, nothing is left, or a delivery
+        reaches a new configuration with ``budget`` configurations stored
+        in all: that delivery is refused (``stats["exhausted"]``), and a
+        later call makes it again.  A search that stores exactly its budget
+        and finds nothing new after it ends as it would unbounded.  Returns
         (property, witness_events) or None."""
         stats, here = self.stats, self.here
         self.here = None
@@ -479,11 +480,6 @@ class _Search:
         stats["exhausted"] = False
         try:
             while True:
-                if configs >= budget and (expand or any(frame[5] for frame in stack)):
-                    if expand:
-                        self.here = (nodes, key, enabled, crashed, depth, sleep, finished, top)
-                    stats["exhausted"] = True
-                    return None
                 p = -1
                 if expand:
                     if depth >= limit:
@@ -527,6 +523,14 @@ class _Search:
                     hits += 1
                     expand = False
                     continue
+                if configs >= budget:  # refuse the delivery; the next call makes it again
+                    if p < 0:
+                        frame[5], frame[7] = i, sleep
+                    else:
+                        self.here = (nodes, key - delta, enabled, crashed, depth, sleep, finished,
+                                     top)
+                    stats["exhausted"] = True
+                    return None
                 seen.add(key)
                 configs += 1
                 if sleep & to[d] and depth + 1 < limit:  # else the same mask, or never used
