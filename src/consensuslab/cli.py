@@ -15,15 +15,24 @@ from . import __version__
 from .binary import commutativity_check
 from .cases import run_case_suite
 from .errors import ConfigError, ConsensusLabError
-from .explore import ExploreBounds, explore, fuzz
+from .explore import (
+    EXIT_FOR_OUTCOME,
+    OUTCOME_ALL_PASS,
+    OUTCOME_COUNTEREXAMPLE,
+    ExploreBounds,
+    explore,
+    fuzz,
+)
 from .properties import check_properties
 from .scenario import Scenario
 from .trace import Trace, replay, run
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_VIOLATION = 2
-EXIT_BOUND = 3
+EXIT_USAGE = 1  # a usage or configuration error; the other codes are EXIT_FOR_OUTCOME's
+
+
+def _exit(ok: bool) -> int:
+    """The exit code of a check that passed, or that found a violation."""
+    return EXIT_FOR_OUTCOME[OUTCOME_ALL_PASS if ok else OUTCOME_COUNTEREXAMPLE]
 
 
 class _Out:
@@ -88,7 +97,7 @@ def _cmd_run(args) -> int:
     out.flush()
     if args.trace:
         _write(args.trace, trace.to_jsonl())
-    return EXIT_OK if report.all_ok else EXIT_VIOLATION
+    return _exit(report.all_ok)
 
 
 def _cmd_case_suite(args) -> int:
@@ -106,7 +115,7 @@ def _cmd_case_suite(args) -> int:
             failed.append(res.case.case_id)
     out.line(f"{len(results) - len(failed)}/{len(results)} cases match their expected outcomes")
     out.flush()
-    return EXIT_OK if not failed else EXIT_VIOLATION
+    return _exit(not failed)
 
 
 def _cmd_fuzz(args) -> int:
@@ -160,7 +169,7 @@ def _cmd_replay(args) -> int:
     out.line(f"replay ok: configuration hash {again.verdict.config_hash} reproduced")
     out.line(f"properties: {report.summary()}")
     out.flush()
-    return EXIT_OK if report.all_ok else EXIT_VIOLATION
+    return _exit(report.all_ok)
 
 
 def _cmd_commute(args) -> int:
@@ -170,12 +179,12 @@ def _cmd_commute(args) -> int:
     for m in report.mismatches[:10]:
         out.line(f"  mismatch: {m}")
     out.flush()
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return _exit(report.ok)
 
 
 def _cmd_version(_args) -> int:
     print(f"consensuslab {__version__}")
-    return EXIT_OK
+    return _exit(True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +250,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        return EXIT_USAGE if exc.code not in (0, None) else _exit(True)
     try:
         return args.func(args)
     except ConsensusLabError as exc:

@@ -40,6 +40,7 @@ OUTCOME_ALL_PASS = "all-pass"
 OUTCOME_COUNTEREXAMPLE = "counterexample"
 OUTCOME_BOUND = "bound-exhausted"
 
+# The exit code of each outcome, for the CLI (which exits 1 on a usage error).
 EXIT_FOR_OUTCOME = {OUTCOME_ALL_PASS: 0, OUTCOME_COUNTEREXAMPLE: 2, OUTCOME_BOUND: 3}
 
 # The four rule mutants used to prove the checkers are not vacuous.
@@ -67,33 +68,33 @@ class ExploreBounds:
 
 
 @dataclass
-class ExploreVerdict:
+class CheckVerdict:
+    """The outcome of ``explore`` or ``fuzz``; ``failing_seed`` names the
+    fuzz seed of a counterexample."""
+
     outcome: str
     prop: Optional[str] = None
     trace: Optional[Trace] = None
     stats: dict = field(default_factory=dict)
+    failing_seed: Optional[int] = None
 
     @property
     def exit_code(self) -> int:
         return EXIT_FOR_OUTCOME[self.outcome]
 
     def summary(self) -> str:
-        extra = f" ({self.prop})" if self.prop else ""
+        seed = "" if self.failing_seed is None else f" at seed {self.failing_seed}"
+        extra = f" ({self.prop}{seed})" if self.prop else ""
         stats = ", ".join(f"{k}={v}" for k, v in sorted(self.stats.items()))
         return f"{self.outcome}{extra} [{stats}]"
 
 
-def _witness(base: Scenario, events: list, prop: str) -> Trace:
-    """Package a failing schedule as a standalone trace and prove it fails.
-    The search has no event bound, so the trace's ``max_events`` is raised,
-    if need be, past its delivery count: the script, not the bound, ends it."""
-    scenario = scripted(replace(base, max_events=max(base.max_events, len(events) + 1)), events)
+def _failing_trace(scenario: Scenario, prop: str, what: str) -> Trace:
+    """Run ``scenario`` as a trace and prove that it fails ``prop``: a
+    trace that passes is an internal error naming ``what``."""
     trace = run(scenario)
-    report = check_properties(trace)
-    if report.check(prop).ok:
-        raise ConsensusLabError(
-            f"internal error: witness for {prop} does not reproduce the failure"
-        )
+    if check_properties(trace).check(prop).ok:
+        raise ConsensusLabError(f"internal error: {what} does not fail {prop}")
     return trace
 
 
@@ -607,7 +608,7 @@ def explore(
     chunks: int = 1,
     workers: int = 1,
     reach_sink: Optional[set] = None,
-) -> ExploreVerdict:
+) -> CheckVerdict:
     """Enumerate delivery interleavings and check every reached configuration.
 
     The search stores at most ``bounds.max_configs`` configurations.  With
@@ -681,21 +682,18 @@ def explore(
     return _verdict_from(scenario, found, all_stats, any(r["truncated"] for r in results))
 
 
-def _verdict_from(scenario, found, stats_list, truncated) -> ExploreVerdict:
+def _verdict_from(scenario, found, stats_list, truncated) -> CheckVerdict:
     stats = {k: sum(s.get(k, 0) for s in stats_list) for k in _COUNTS}
     if found is not None:
+        # The search has no event bound, so the witness's ``max_events`` is
+        # raised, if need be, past its delivery count: the script ends it.
         prop, events = found
-        return ExploreVerdict(
-            outcome=OUTCOME_COUNTEREXAMPLE,
-            prop=prop,
-            trace=_witness(scenario, events, prop),
-            stats=stats,
-        )
+        witness = scripted(replace(scenario, max_events=max(scenario.max_events,
+                                                            len(events) + 1)), events)
+        return CheckVerdict(OUTCOME_COUNTEREXAMPLE, prop, _failing_trace(witness, prop, "the witness"),
+                       stats)
     stats["exhaustive"] = not truncated
-    return ExploreVerdict(
-        outcome=OUTCOME_BOUND if truncated else OUTCOME_ALL_PASS,
-        stats=stats,
-    )
+    return CheckVerdict(OUTCOME_BOUND if truncated else OUTCOME_ALL_PASS, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -711,24 +709,6 @@ def _values_for(base: Scenario, seed: int, mode: str) -> tuple:
     # patterns including unanimity and near-ties.
     pattern = (seed * 2654435761 + 97) & 0xFFFFFFFF
     return tuple(bit_values(base.n, pattern >> 3))
-
-
-@dataclass
-class FuzzVerdict:
-    outcome: str
-    prop: Optional[str] = None
-    trace: Optional[Trace] = None
-    failing_seed: Optional[int] = None
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_FOR_OUTCOME[self.outcome]
-
-    def summary(self) -> str:
-        extra = f" ({self.prop} at seed {self.failing_seed})" if self.prop else ""
-        stats = ", ".join(f"{k}={v}" for k, v in sorted(self.stats.items()))
-        return f"{self.outcome}{extra} [{stats}]"
 
 
 def _fuzz_one(base: Scenario, cells: list, seed: int, values_mode: str):
@@ -768,7 +748,7 @@ def fuzz(
     stop_on_first: bool = False,
     workers: int = 1,
     collect_traces: Optional[list] = None,
-) -> FuzzVerdict:
+) -> CheckVerdict:
     """Run seeds 0..seed_count-1, spread round-robin over the crash grid.
 
     Every run is checked against all properties.  The reported
@@ -814,19 +794,11 @@ def fuzz(
                 break
 
     if first_failure is None:
-        return FuzzVerdict(outcome=OUTCOME_ALL_PASS, stats=stats)
+        return CheckVerdict(OUTCOME_ALL_PASS, stats=stats)
     seed, prop, scenario = first_failure
-    trace = run(scenario)  # deterministic re-run, now recording events
-    report = check_properties(trace)
-    if report.check(prop).ok:
-        raise ConsensusLabError("internal error: failing seed did not reproduce")
-    return FuzzVerdict(
-        outcome=OUTCOME_COUNTEREXAMPLE,
-        prop=prop,
-        trace=trace,
-        failing_seed=seed,
-        stats=stats,
-    )
+    # A deterministic re-run, now recording events.
+    trace = _failing_trace(scenario, prop, f"the re-run of seed {seed}")
+    return CheckVerdict(OUTCOME_COUNTEREXAMPLE, prop, trace, stats, failing_seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -890,8 +862,4 @@ def minimize(trace: Trace, max_replays: int = 4000) -> Trace:
         else:
             granularity = min(len(events), granularity * 2)
 
-    final = run(scripted(trace.scenario, events))
-    final_report = check_properties(final)
-    if final_report.check(prop).ok:
-        raise ConsensusLabError("internal error: minimized trace no longer fails")
-    return final
+    return _failing_trace(scripted(trace.scenario, events), prop, "the minimized trace")

@@ -17,9 +17,12 @@ from consensuslab.protocol import (
     Phase,
     Process,
     Rules,
+    StateKey,
     decode_vector,
     encode_vector,
 )
+from consensuslab.scenario import Scenario, default_values
+from consensuslab.trace import run_raw
 
 V = [bytes([i + 1]) for i in range(5)]
 
@@ -347,6 +350,64 @@ class TestDeterminism:
         other = msg(2, 0, 0, MsgKind.INITIAL, V[2])
         p.clone().ingest(other)
         assert p.ingest(other) == [other]
+
+
+# The attributes a process's key leaves out: what every process of one
+# scenario shares (its rules and quorums) or derives from pid and n (its
+# peers), and the cached key itself.  The explorer's tables serve one
+# scenario, so these never tell two of its states apart.
+NOT_IN_KEY = {"rules", "quorum", "final_quorum", "peers", "_key"}
+
+
+def perturbed(value, probe: Message):
+    """A value of ``value``'s shape that differs from it; ``probe`` is a
+    message from a peer, for a container that is empty."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, bytes):
+        return value + b"?"
+    if isinstance(value, Message):
+        return value._replace(payload=perturbed(value.payload, probe))
+    if value is None or isinstance(value, tuple):  # a vector
+        return (b"?",) + (value or ())
+    if isinstance(value, set):
+        return value | {(probe.sender, probe.seq)}
+    if isinstance(value, list):
+        return value[:-1] + [perturbed(value[-1], probe)] if value else [probe]
+    if isinstance(value, dict):
+        if not value:
+            return {(probe.sender, probe.seq): probe}
+        first = next(iter(value))
+        return {**value, first: perturbed(value[first], probe)}
+    raise TypeError(f"no perturbation for {value!r}")
+
+
+class TestStateKey:
+    @pytest.mark.parametrize("rules", [Rules(), Rules(ordered_delivery=False)])
+    def test_every_state_field_is_in_the_key_and_the_image(self, rules):
+        # Deduplication is exact only if the key covers every field of the
+        # state.  For a process that has reached the decision stage, a
+        # change to any one instance attribute but those of NOT_IN_KEY
+        # changes both the key and the image rendered from it; the key's
+        # fields are named after those attributes.
+        cfg, _, _ = run_raw(Scenario(n=5, values=tuple(default_values(5)), rules=rules),
+                            record_events=False)
+        proc = next(p for p in cfg.processes if p.phase >= Phase.DECISION)
+        probe = Message(proc.peers[0], proc.pid, 99, MsgKind.FINAL, (b"?",) * proc.n)
+        fields = set(vars(proc)) - NOT_IN_KEY
+        assert fields == set(StateKey._fields)
+        for name in sorted(fields):
+            twin = proc.clone()
+            setattr(twin, name, perturbed(getattr(proc, name), probe))
+            twin._key = None
+            assert twin.state_key() != proc.state_key(), name
+            assert twin.canonical_bytes() != proc.canonical_bytes(), name
+        twin = proc.clone()
+        twin._key = None
+        assert twin.state_key() == proc.state_key()
+        assert twin.canonical_bytes() == proc.canonical_bytes()
 
 
 class TestVectorEncoding:
