@@ -27,12 +27,9 @@ from .properties import check_properties
 from .scenario import Scenario
 from .trace import Trace, replay, run
 
-EXIT_USAGE = 1  # a usage or configuration error; the other codes are EXIT_FOR_OUTCOME's
-
-
-def _exit(ok: bool) -> int:
-    """The exit code of a check that passed, or that found a violation."""
-    return EXIT_FOR_OUTCOME[OUTCOME_ALL_PASS if ok else OUTCOME_COUNTEREXAMPLE]
+EXIT_OK = EXIT_FOR_OUTCOME[OUTCOME_ALL_PASS]
+EXIT_VIOLATION = EXIT_FOR_OUTCOME[OUTCOME_COUNTEREXAMPLE]
+EXIT_USAGE = 1  # a usage or configuration error, the one code no outcome has
 
 
 class _Out:
@@ -97,7 +94,7 @@ def _cmd_run(args) -> int:
     out.flush()
     if args.trace:
         _write(args.trace, trace.to_jsonl())
-    return _exit(report.all_ok)
+    return EXIT_OK if report.all_ok else EXIT_VIOLATION
 
 
 def _cmd_case_suite(args) -> int:
@@ -115,7 +112,7 @@ def _cmd_case_suite(args) -> int:
             failed.append(res.case.case_id)
     out.line(f"{len(results) - len(failed)}/{len(results)} cases match their expected outcomes")
     out.flush()
-    return _exit(not failed)
+    return EXIT_OK if not failed else EXIT_VIOLATION
 
 
 def _cmd_fuzz(args) -> int:
@@ -169,7 +166,7 @@ def _cmd_replay(args) -> int:
     out.line(f"replay ok: configuration hash {again.verdict.config_hash} reproduced")
     out.line(f"properties: {report.summary()}")
     out.flush()
-    return _exit(report.all_ok)
+    return EXIT_OK if report.all_ok else EXIT_VIOLATION
 
 
 def _cmd_commute(args) -> int:
@@ -179,12 +176,12 @@ def _cmd_commute(args) -> int:
     for m in report.mismatches[:10]:
         out.line(f"  mismatch: {m}")
     out.flush()
-    return _exit(report.ok)
+    return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def _cmd_version(_args) -> int:
     print(f"consensuslab {__version__}")
-    return _exit(True)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +247,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else _exit(True)
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
     except ConsensusLabError as exc:

@@ -690,8 +690,8 @@ def _verdict_from(scenario, found, stats_list, truncated) -> CheckVerdict:
         prop, events = found
         witness = scripted(replace(scenario, max_events=max(scenario.max_events,
                                                             len(events) + 1)), events)
-        return CheckVerdict(OUTCOME_COUNTEREXAMPLE, prop, _failing_trace(witness, prop, "the witness"),
-                       stats)
+        trace = _failing_trace(witness, prop, "the witness")
+        return CheckVerdict(OUTCOME_COUNTEREXAMPLE, prop, trace, stats)
     stats["exhaustive"] = not truncated
     return CheckVerdict(OUTCOME_BOUND if truncated else OUTCOME_ALL_PASS, stats=stats)
 
