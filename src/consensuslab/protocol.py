@@ -197,6 +197,8 @@ def encode_message(m: Message) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+_new_tuple = tuple.__new__  # builds a named tuple without its Python-level __new__
+
 # The fields of a process's state, in image order (see ``Process.state_key``);
 # a named tuple hashes and compares as the plain tuple of its fields does.
 StateKey = namedtuple(
@@ -490,7 +492,7 @@ class Process:
         lists the next seq per peer in index order.  Cached between
         mutations."""
         if self._key is None:
-            self._key = StateKey(
+            self._key = _new_tuple(StateKey, (
                 self.pid, self.n, self.phase, self.started, self.second_sent, self.sent_seq,
                 self.input, self.output, self.initial_count,
                 frozenset(self.known_values.items()), tuple(self.next_seq.values()),
@@ -499,7 +501,7 @@ class Process:
                 self.first_proposal, frozenset(self.first_tally.items()), self.second_count,
                 self.second_value, self.completion, self.decision_entry,
                 tuple(self.final_slots), self.final_count, self.seen_full_final, self.decided,
-            )
+            ))
         return self._key
 
     def canonical_bytes(self) -> bytes:

@@ -32,6 +32,7 @@ from .protocol import (
     MsgKind,
     Process,
     Rules,
+    _new_tuple,
     encode_message,
 )
 
@@ -43,7 +44,7 @@ class CrashPoint(str, Enum):
 
 # Enum members bound once: reading one off its class costs several times a
 # global read, and the run loop tests the crash anchor on every broadcast.
-_BEFORE, _DURING, _AFTER = CrashPoint
+_BEFORE, _DURING = CrashPoint.BEFORE, CrashPoint.DURING
 _INITIAL = MsgKind.INITIAL
 
 
@@ -203,7 +204,6 @@ class Configuration:
 
 _BUFFER_ORDER = itemgetter(0, 2, 1)  # a message's (sender, seq, dest)
 _SEND_INDEX = itemgetter(1)  # a buffer entry's send index
-_new_tuple = tuple.__new__  # builds a named tuple without its Python-level __new__
 _START = (None,)  # what ``step_process`` releases for a process's start
 _QUIET = ((), False)  # ``step_process``'s result for a step that sends nothing
 
@@ -284,8 +284,10 @@ def step_process(proc: Process, spec: Optional[CrashSpec], message: Optional[Mes
         pid, peers = proc.pid, proc.peers
         for broadcast in broadcasts:
             if spec is not None and spec.victim == pid and spec.kind == broadcast.kind:
-                if spec.point != _AFTER:
-                    peers = [d for d in peers if d in spec.delivered_to] if spec.point == _DURING else ()
+                if spec.point == _BEFORE:
+                    peers = ()
+                elif spec.point == _DURING:
+                    peers = [d for d in peers if d in spec.delivered_to]
                 sent.append((broadcast, peers))
                 return sent, True
             sent.append((broadcast, peers))
