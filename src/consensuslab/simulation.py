@@ -349,4 +349,4 @@ def apply_deliver(cfg: Configuration, entry: BufferEntry) -> list:
         proc = cfg.processes[dest] = proc.clone()
     sent, bit = step_process(proc, cfg.crash_pending, message)
     cfg.event_count += 1
-    return _materialize(cfg, dest, sent, bit) if sent or bit else []
+    return _materialize(cfg, dest, sent, bit) if sent else []  # a bite always sends
